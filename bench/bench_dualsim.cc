@@ -1,13 +1,11 @@
 /**
  * @file
- * Differential-harness throughput: lockstep co-simulation vs the
- * legacy 4-pass diffIFT pipeline, on the multi-packet PoC suite.
+ * Differential-harness throughput: lockstep diffIFT `runDual` on the
+ * multi-packet PoC suite.
  *
- * The lockstep strategy must beat the 4-pass baseline (CI gate); the
- * repo targets >=1.6x on the plain Phase-3-style configuration
- * (sinks only). The TaintLog variants measure the Phase-2
- * configuration where per-cycle taint sampling adds a fixed cost to
- * both strategies.
+ * The plain variant is the Phase-3-style configuration (sinks only);
+ * the TaintLog variant measures the Phase-2 configuration, where
+ * per-cycle taint sampling adds a fixed cost.
  */
 
 #include <benchmark/benchmark.h>
@@ -21,23 +19,15 @@ using namespace dejavuzz;
 
 namespace {
 
-harness::SimOptions
-diffOptions(bool lockstep, bool taint_log)
+void
+runDiffIft(benchmark::State &state, bool taint_log)
 {
+    auto cfg = uarch::smallBoomConfig();
+    harness::DualSim sim(cfg);
     harness::SimOptions options;
     options.mode = ift::IftMode::DiffIFT;
     options.sinks = true;
     options.taint_log = taint_log;
-    options.lockstep_diff = lockstep;
-    return options;
-}
-
-void
-runDiffIft(benchmark::State &state, bool lockstep, bool taint_log)
-{
-    auto cfg = uarch::smallBoomConfig();
-    harness::DualSim sim(cfg);
-    auto options = diffOptions(lockstep, taint_log);
     auto suite = bench::pocSuite();
     harness::DualResult result;
     uint64_t cycles = 0;
@@ -55,30 +45,16 @@ runDiffIft(benchmark::State &state, bool lockstep, bool taint_log)
 void
 BM_DiffIFTLockstep(benchmark::State &state)
 {
-    runDiffIft(state, /*lockstep=*/true, /*taint_log=*/false);
+    runDiffIft(state, /*taint_log=*/false);
 }
 BENCHMARK(BM_DiffIFTLockstep)->Unit(benchmark::kMillisecond);
 
 void
-BM_DiffIFTFourPass(benchmark::State &state)
-{
-    runDiffIft(state, /*lockstep=*/false, /*taint_log=*/false);
-}
-BENCHMARK(BM_DiffIFTFourPass)->Unit(benchmark::kMillisecond);
-
-void
 BM_DiffIFTLockstepTaintLog(benchmark::State &state)
 {
-    runDiffIft(state, /*lockstep=*/true, /*taint_log=*/true);
+    runDiffIft(state, /*taint_log=*/true);
 }
 BENCHMARK(BM_DiffIFTLockstepTaintLog)->Unit(benchmark::kMillisecond);
-
-void
-BM_DiffIFTFourPassTaintLog(benchmark::State &state)
-{
-    runDiffIft(state, /*lockstep=*/false, /*taint_log=*/true);
-}
-BENCHMARK(BM_DiffIFTFourPassTaintLog)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -31,7 +31,7 @@ hunt(const uarch::CoreConfig &cfg, const char *label)
     ift::TaintCoverage coverage;
     auto ids = uarch::Core::registerModules(coverage, cfg);
     core::Phase1 phase1(sim, options);
-    core::Phase2 phase2(sim, options, coverage, ids);
+    core::Phase2 phase2(sim, options, coverage, ids, gen);
     core::Phase3 phase3(sim, options, gen);
 
     Rng rng(0x5b5b);

@@ -46,6 +46,9 @@ struct AblationVariant
     bool training_reduction;
 };
 
+/** Variant-name prefix of a Heads shard ("head-<name>"). */
+constexpr const char *kHeadVariantPrefix = "head-";
+
 constexpr AblationVariant kAblationMatrix[] = {
     {"full", true, true, true, true},
     {"dejavuzz-star", false, true, true, true},
@@ -118,6 +121,13 @@ applyAblationVariant(const std::string &name,
         fopts.training_reduction = variant.training_reduction;
         return true;
     }
+    for (const HeadSpec &spec : headMatrix()) {
+        if (name != kHeadVariantPrefix + std::string(spec.name))
+            continue;
+        fopts.trigger_mask = spec.trigger_mask;
+        fopts.model_mask = spec.model_mask;
+        return true;
+    }
     return false;
 }
 
@@ -178,14 +188,13 @@ CampaignOrchestrator::provision()
           }
           case ShardPolicy::Heads: {
             const std::vector<HeadSpec> &heads = headMatrix();
-            const HeadSpec &spec = heads[w % heads.size()];
-            head = spec.name;
-            fopts.trigger_mask = spec.trigger_mask;
-            fopts.model_mask = spec.model_mask;
+            head = heads[w % heads.size()].name;
             // The head rides the variant so kind compatibility (the
             // thief's fuzzer carries the head's masks) and ledger
-            // provenance both see it.
-            shard.variant = std::string("head-") + spec.name;
+            // provenance both see it; replay resolves the same name.
+            shard.variant = kHeadVariantPrefix + head;
+            bool known = applyAblationVariant(shard.variant, fopts);
+            dv_assert(known);
             break;
           }
         }

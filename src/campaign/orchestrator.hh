@@ -85,9 +85,10 @@ struct HeadSpec
 const std::vector<HeadSpec> &headMatrix();
 
 /**
- * Apply the named ablation variant's switches ("full",
- * "dejavuzz-star", "dejavuzz-minus", "no-liveness", "no-reduction")
- * to @p fopts — the same table the AblationMatrix policy cycles.
+ * Apply the named shard variant to @p fopts: an ablation variant's
+ * switches ("full", "dejavuzz-star", "dejavuzz-minus", "no-liveness",
+ * "no-reduction") — the table the AblationMatrix policy cycles — or a
+ * Heads shard's trigger/model masks ("head-<name>" from headMatrix()).
  * Returns false (leaving @p fopts untouched) for unknown names, so
  * replay tooling can rebuild a bug's exact fuzzer configuration from
  * its recorded variant string.

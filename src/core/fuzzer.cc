@@ -224,7 +224,7 @@ Fuzzer::run(uint64_t count)
 {
     RunSlice slice(*this);
     Phase1 phase1(sim_, options_.sim);
-    Phase2 phase2(sim_, options_.sim, coverage_, module_ids_, &gen_);
+    Phase2 phase2(sim_, options_.sim, coverage_, module_ids_, gen_);
     Phase3 phase3(sim_, options_.sim, gen_);
     for (uint64_t i = 0; i < count; ++i)
         iterate(phase1, phase2, phase3);
@@ -236,7 +236,7 @@ Fuzzer::runUntilFirstBug(uint64_t max_iters)
 {
     RunSlice slice(*this);
     Phase1 phase1(sim_, options_.sim);
-    Phase2 phase2(sim_, options_.sim, coverage_, module_ids_, &gen_);
+    Phase2 phase2(sim_, options_.sim, coverage_, module_ids_, gen_);
     Phase3 phase3(sim_, options_.sim, gen_);
     for (uint64_t i = 0; i < max_iters && stats_.bugs.empty(); ++i)
         iterate(phase1, phase2, phase3);
@@ -350,7 +350,7 @@ Fuzzer::replayCase(const TestCase &tc, bool collect_coverage_tuples)
     // Measure against an empty map so outcome.coverage is the case's
     // own tuple set — the same yardstick whoever replays it.
     coverage_.resetSamples();
-    Phase2 phase2(sim_, options_.sim, coverage_, module_ids_, &gen_);
+    Phase2 phase2(sim_, options_.sim, coverage_, module_ids_, gen_);
     Phase3 phase3(sim_, options_.sim, gen_);
 
     ReplayOutcome outcome;

@@ -137,12 +137,11 @@ Phase2::run(const TestCase &tc)
     harness::SimOptions options = options_;
     options.taint_log = true;
     options.sinks = true;
-    // Arm Phase-3 lane fusion when the sanitized twin is available:
-    // the differential run below then snapshots both lanes at the
-    // transient boundary, and Phase 3 resumes from the snapshot
-    // instead of re-simulating the shared prefix.
-    if (gen_ != nullptr && options.fuse_phase3 &&
-        tc.has_window_payload) {
+    // Arm Phase-3 lane fusion when the case has a window payload to
+    // sanitize: the differential run below then snapshots both lanes
+    // at the transient boundary, and Phase 3 resumes from the
+    // snapshot instead of re-simulating the shared prefix.
+    if (tc.has_window_payload) {
         sanitized_ = gen_->sanitizedSchedule(tc);
         sim_->armFusion(&sanitized_);
     } else {

@@ -26,6 +26,7 @@
 #include "core/stimgen.hh"
 #include "harness/dualsim.hh"
 #include "ift/coverage.hh"
+#include "util/logging.hh"
 
 namespace dejavuzz::core {
 
@@ -80,19 +81,27 @@ class Phase2
 {
   public:
     /**
-     * @p gen, when non-null, lets Phase 2 arm the harness's Phase-3
-     * lane fusion: the sanitized schedule is built up front and the
+     * @p gen builds the sanitized twin of each case with a window
+     * payload, which arms the harness's Phase-3 lane fusion: the
      * lockstep run snapshots both lanes at the transient boundary so
-     * a following Phase 3 can resume instead of re-simulating the
-     * shared prefix. Null (the default) keeps the standalone
-     * sanitized run.
+     * a following Phase 3 resumes instead of re-simulating the shared
+     * prefix.
      */
     Phase2(harness::DualSim &sim, const harness::SimOptions &options,
            ift::TaintCoverage &coverage,
            const std::array<uint16_t, uarch::kModCount> &module_ids,
-           const StimGen *gen = nullptr)
+           const StimGen &gen)
         : sim_(&sim), options_(options), coverage_(&coverage),
-          module_ids_(module_ids), gen_(gen)
+          module_ids_(module_ids), gen_(&gen)
+    {}
+
+    /** Pointer form of the constructor above; panics on a null
+     *  @p gen. */
+    Phase2(harness::DualSim &sim, const harness::SimOptions &options,
+           ift::TaintCoverage &coverage,
+           const std::array<uint16_t, uarch::kModCount> &module_ids,
+           const StimGen *gen)
+        : Phase2(sim, options, coverage, module_ids, requireGen(gen))
     {}
 
     /**
@@ -103,11 +112,18 @@ class Phase2
     const Phase2Result &run(const TestCase &tc);
 
   private:
+    static const StimGen &
+    requireGen(const StimGen *gen)
+    {
+        dv_assert(gen != nullptr);
+        return *gen;
+    }
+
     harness::DualSim *sim_;
     harness::SimOptions options_;
     ift::TaintCoverage *coverage_;
     std::array<uint16_t, uarch::kModCount> module_ids_;
-    const StimGen *gen_ = nullptr;
+    const StimGen *gen_;
     Phase2Result result_;
     /** Pooled sanitized schedule the armed fusion capture resumes
      *  onto; must outlive the following Phase-3 run. */

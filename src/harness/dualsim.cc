@@ -16,16 +16,6 @@ using uarch::TickEvents;
 
 namespace {
 
-/**
- * Tail hysteresis of a recorded trace store, in cycles. The seed
- * harness grew its per-cycle trace vector by 256 entries at a time,
- * so a diff pass outliving its sibling saw *empty* traces (structural
- * divergence => gates open) until the next 256-cycle boundary and no
- * trace (gates closed) beyond it. The preallocated store keeps that
- * boundary behaviour bit-identical.
- */
-constexpr uint64_t kTraceTailQuantum = 256;
-
 const ift::ControlTrace kEmptyTrace;
 
 /**
@@ -43,12 +33,20 @@ gatesAllClosed(const ift::ControlTrace &mine,
     // Word-wide prefix compare over the parallel sig/value arrays:
     // two memcmps replace the per-record loop on the hottest
     // comparison in the lockstep driver.
+    // An empty trace may have null data pointers, which memcmp must
+    // not see even for a zero length.
     size_t n = mine.size();
-    return std::memcmp(mine.sigsData(), sibling.sigsData(),
-                       n * sizeof(uint32_t)) == 0 &&
-           std::memcmp(mine.valuesData(), sibling.valuesData(),
-                       n * sizeof(uint64_t)) == 0;
+    return n == 0 ||
+           (std::memcmp(mine.sigsData(), sibling.sigsData(),
+                        n * sizeof(uint32_t)) == 0 &&
+            std::memcmp(mine.valuesData(), sibling.valuesData(),
+                        n * sizeof(uint64_t)) == 0);
 }
+
+/** Checkpoint cadence of the lockstep redo protocol while execution
+ *  is convergent, in cycles: a time/space trade-off only, results are
+ *  bit-identical for any value >= 1. */
+constexpr uint64_t kCheckpointInterval = 32;
 
 /** Cycles after a divergence during which checkpoints are per-cycle
  *  (divergence clusters; per-cycle checkpoints make each further
@@ -60,13 +58,7 @@ constexpr uint64_t kDivergenceHotWindow = 8;
 const ift::ControlTrace *
 DualSim::TraceStore::viewAt(uint64_t cycle) const
 {
-    if (cycle < used)
-        return &per_cycle[cycle];
-    uint64_t limit =
-        used == 0
-            ? 0
-            : ((used - 1) / kTraceTailQuantum + 1) * kTraceTailQuantum;
-    return cycle < limit ? &kEmptyTrace : nullptr;
+    return cycle < used ? &per_cycle[cycle] : &kEmptyTrace;
 }
 
 DualSim::DualSim(const uarch::CoreConfig &config)
@@ -111,8 +103,8 @@ DualSim::startLane(LaneRun &lr, const StimulusData &data,
 /**
  * One cycle of one instance: arm the taint context, tick the core,
  * record the taint log and drive the swap runtime. Shared verbatim by
- * the single-pass, legacy 4-pass and lockstep drivers so the per-cycle
- * semantics cannot drift between strategies.
+ * the single-pass and lockstep drivers so the per-cycle semantics
+ * cannot drift between them.
  */
 void
 DualSim::laneTick(LaneRun &lr, const SimOptions &options,
@@ -177,19 +169,12 @@ DualSim::finishLane(LaneRun &lr, const SimOptions &options)
 void
 DualSim::runOne(const SwapSchedule &schedule, const StimulusData &data,
                 const SimOptions &options, bool flipped_secret,
-                ift::IftMode mode, TraceStore *record,
-                const TraceStore *sibling, Lane &lane, DutResult &out)
+                ift::IftMode mode, Lane &lane, DutResult &out)
 {
     LaneRun lr(lane, out, schedule);
     startLane(lr, data, options, flipped_secret);
-    while (!lr.done) {
-        uint64_t cycle = lane.core.cycle();
-        ift::ControlTrace *mine =
-            record != nullptr ? record->slot(cycle) : nullptr;
-        const ift::ControlTrace *other =
-            sibling != nullptr ? sibling->viewAt(cycle) : nullptr;
-        laneTick(lr, options, mode, mine, other);
-    }
+    while (!lr.done)
+        laneTick(lr, options, mode, nullptr, nullptr);
     if (lr.started)
         finishLane(lr, options);
 }
@@ -199,8 +184,8 @@ DualSim::runSingle(const SwapSchedule &schedule,
                    const StimulusData &data, const SimOptions &options,
                    DutResult &out)
 {
-    runOne(schedule, data, options, false, ift::IftMode::Off, nullptr,
-           nullptr, lane0_, out);
+    runOne(schedule, data, options, false, ift::IftMode::Off, lane0_,
+           out);
     obs::counterAdd(obs::Ctr::Simulations);
 }
 
@@ -211,30 +196,6 @@ DualSim::runSingle(const SwapSchedule &schedule, const StimulusData &data,
     DutResult out;
     runSingle(schedule, data, options, out);
     return out;
-}
-
-void
-DualSim::runDualFourPass(const SwapSchedule &schedule,
-                         const StimulusData &data,
-                         const SimOptions &options, DualResult &out)
-{
-    // Value pass: record control traces (taints gated off by the
-    // missing sibling, results of the taint shadow discarded).
-    SimOptions value_options = options;
-    value_options.taint_log = false;
-    value_options.sinks = false;
-    store_a_.prepare(options.total_cycle_budget);
-    store_b_.prepare(options.total_cycle_budget);
-    runOne(schedule, data, value_options, false, ift::IftMode::DiffIFT,
-           &store_a_, nullptr, lane0_, scratch_result_);
-    runOne(schedule, data, value_options, true, ift::IftMode::DiffIFT,
-           &store_b_, nullptr, lane1_, scratch_result_);
-    // Diff pass: every control gate consults the sibling's trace.
-    runOne(schedule, data, options, false, ift::IftMode::DiffIFT,
-           nullptr, &store_b_, lane0_, out.dut0);
-    runOne(schedule, data, options, true, ift::IftMode::DiffIFT,
-           nullptr, &store_a_, lane1_, out.dut1);
-    out.sim_passes = 4;
 }
 
 /**
@@ -293,9 +254,6 @@ DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
         l0.lane.mem.beginUndo();
         marks.cycle = l0.lane.core.cycle();
         marks.packet_cycles = l0.packet_cycles;
-        marks.secret_prot = l0.lane.mem.secretProt();
-        marks.victim_supervisor = l0.lane.mem.victimSupervisor();
-        marks.secret_swapped = l0.lane.mem.secretSwapped();
         marks.completed = l0.result.completed;
         marks.budget_exceeded = l0.result.budget_exceeded;
         marks.done = l0.done;
@@ -311,10 +269,6 @@ DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
         l0.lane.core = ckpt_core_;
         l0.runtime = ckpt_runtime;
         l0.lane.mem.rollbackUndo();
-        l0.lane.mem.setSecretProt(marks.secret_prot);
-        l0.lane.mem.setVictimSupervisor(marks.victim_supervisor);
-        if (!marks.secret_swapped)
-            l0.lane.mem.clearSecretSwap();
         l0.lane.mem.beginUndo();
         l0.packet_cycles = marks.packet_cycles;
         l0.done = marks.done;
@@ -335,7 +289,7 @@ DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
         if (hot)
             obs::counterAdd(obs::Ctr::HotCycles);
         if (!ckpt_valid || hot ||
-            cycle - marks.cycle >= options.lockstep_checkpoint_interval) {
+            cycle - marks.cycle >= kCheckpointInterval) {
             takeCheckpoint();
             obs::counterAdd(obs::Ctr::Checkpoints);
         }
@@ -395,8 +349,7 @@ DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
     }
 
     // Solo tails: one instance outlived the other; it keeps gating
-    // against the frozen sibling store, whose viewAt() tail semantics
-    // match the legacy diff pass.
+    // against the frozen sibling store (gates open past its end).
     while (!l0.done) {
         laneTick(l0, options, ift::IftMode::DiffIFT, nullptr,
                  store_b_.viewAt(l0.lane.core.cycle()));
@@ -477,7 +430,7 @@ DualSim::runDual(const SwapSchedule &schedule, const StimulusData &data,
                  const SimOptions &options, DualResult &out)
 {
     // Fusion arming is one-shot: this run either captures a snapshot
-    // (lockstep DiffIFT) or the arming lapses, so a stale sanitized
+    // (DiffIFT) or the arming lapses, so a stale sanitized
     // pointer can never be consulted by a later, unrelated run.
     bool allow_capture = fusion_armed_;
     fusion_armed_ = false;
@@ -487,18 +440,15 @@ DualSim::runDual(const SwapSchedule &schedule, const StimulusData &data,
       case ift::IftMode::CellIFT:
       case ift::IftMode::DiffIFTFN:
         // No cross-instance information needed: single pass each.
-        runOne(schedule, data, options, false, options.mode, nullptr,
-               nullptr, lane0_, out.dut0);
-        runOne(schedule, data, options, true, options.mode, nullptr,
-               nullptr, lane1_, out.dut1);
+        runOne(schedule, data, options, false, options.mode, lane0_,
+               out.dut0);
+        runOne(schedule, data, options, true, options.mode, lane1_,
+               out.dut1);
         out.sim_passes = 2;
         obs::counterAdd(obs::Ctr::Simulations, out.sim_passes);
         return;
       case ift::IftMode::DiffIFT:
-        if (options.lockstep_diff)
-            runDualLockstep(schedule, data, options, out, allow_capture);
-        else
-            runDualFourPass(schedule, data, options, out);
+        runDualLockstep(schedule, data, options, out, allow_capture);
         obs::counterAdd(obs::Ctr::Simulations, out.sim_passes);
         return;
     }

@@ -7,23 +7,18 @@
  * values compared against the sibling's for the same cycle; because
  * taint never feeds back into architectural values, the control
  * trace an instance records is independent of how its taint gates
- * resolve, which admits two equivalent evaluation strategies:
- *
- *  - **Lockstep co-simulation** (default): both instances advance in
- *    one interleaved loop. Each cycle, instance 0 ticks first as a
- *    *record sub-tick* — gates optimistically closed, control trace
- *    recorded — then instance 1 runs its *taint sub-tick*, gating
- *    against instance 0's just-recorded trace. If the two traces for
- *    the cycle differ positionally, instance 0's closed-gate
- *    assumption was wrong and the harness rolls it back to the last
- *    checkpoint (pooled Core copy + memory undo log), replays the
- *    confirmed-convergent cycles, and redoes the divergent cycle
- *    against instance 1's trace. DiffIFT costs ~2 core simulations.
- *
- *  - **Legacy 4-pass** (SimOptions::lockstep_diff = false): a value
- *    pass per instance records the control traces, then a diff pass
- *    per instance replays against the sibling's trace. 4 full core
- *    simulations; kept as the bit-identical equivalence baseline.
+ * resolve, so both instances can advance in one interleaved
+ * *lockstep* loop. Each cycle, instance 0 ticks first as a *record
+ * sub-tick* — gates optimistically closed, control trace recorded —
+ * then instance 1 runs its *taint sub-tick*, gating against instance
+ * 0's just-recorded trace. If the two traces for the cycle differ
+ * positionally, instance 0's closed-gate assumption was wrong and the
+ * harness rolls it back to the last checkpoint (pooled Core copy +
+ * memory undo log), replays the confirmed-convergent cycles, and
+ * redoes the divergent cycle against instance 1's trace. DiffIFT
+ * costs ~2 core simulations. Once one instance finishes, the other
+ * keeps gating against the finished sibling's recorded trace; past
+ * its last cycle the sibling view is empty, so every gate opens.
  *
  * CellIFT / FN / Off modes need no sibling information and run in a
  * single pass per instance. All per-run state (cores, memories,
@@ -71,28 +66,6 @@ struct SimOptions
     ift::IftMode mode = ift::IftMode::Off;
     bool taint_log = false;
     bool sinks = false;
-    /**
-     * Evaluate DiffIFT by lockstep co-simulation (2 passes) instead
-     * of the legacy 4-pass value/diff pipeline. The two strategies
-     * produce bit-identical DutResults (CI-enforced); this switch
-     * exists for the equivalence suite and perf baselines.
-     */
-    bool lockstep_diff = true;
-    /**
-     * Checkpoint cadence of the lockstep redo protocol while
-     * execution is convergent, in cycles. Purely a time/space
-     * trade-off — results are bit-identical for any value ≥ 1. The
-     * equivalence suite sweeps it to stress the rollback/replay path.
-     */
-    uint64_t lockstep_checkpoint_interval = 32;
-    /**
-     * Let Phase 2 arm the lockstep driver to snapshot both lanes at
-     * the transient-packet boundary so Phase 3's sanitized run can
-     * resume from the shared prefix instead of re-simulating it.
-     * Results are bit-identical either way; this switch exists for
-     * the equivalence suite and perf baselines.
-     */
-    bool fuse_phase3 = true;
     uint64_t packet_cycle_budget = 1500;
     uint64_t total_cycle_budget = 20000;
 };
@@ -138,7 +111,8 @@ struct DualResult
 {
     DutResult dut0; ///< original secret
     DutResult dut1; ///< flipped secret
-    /** Full core simulations this run cost (2 lockstep, 4 legacy). */
+    /** Full core simulations this run cost (2 for a dual run, 1 for
+     *  a fused Phase-3 resume, which re-simulates only the suffix). */
     unsigned sim_passes = 0;
 };
 
@@ -181,9 +155,9 @@ class DualSim
      * only the transient packet's instructions differ). The pointer
      * must stay valid through the matching runFusedPhase3 call.
      * Passing nullptr disarms. Arming is one-shot: each runDual
-     * consumes it, and non-lockstep / non-DiffIFT runs simply never
-     * capture (fusionCaptured() stays false => callers fall back to
-     * a standalone sanitized run).
+     * consumes it, and non-DiffIFT runs simply never capture
+     * (fusionCaptured() stays false => callers fall back to a
+     * standalone sanitized run).
      */
     void
     armFusion(const swapmem::SwapSchedule *sanitized)
@@ -238,14 +212,10 @@ class DualSim
         }
 
         /**
-         * Sibling view of @p cycle with the seed harness's
-         * grow-by-256 tail hysteresis: cycles < used return the
-         * recorded trace; cycles past used but below the next
-         * 256-cycle boundary return an *empty* trace (structural
-         * divergence => gates open); cycles at or beyond the
-         * boundary return nullptr (no trace => gates closed). See
-         * kTraceTailQuantum in dualsim.cc for why this asymmetry is
-         * load-bearing for bit-identity with the seed.
+         * Sibling view of @p cycle for an instance that outlived its
+         * sibling: the recorded trace for cycles < used, an *empty*
+         * trace (structural divergence => gates open) past the
+         * sibling's last cycle.
          */
         const ift::ControlTrace *viewAt(uint64_t cycle) const;
     };
@@ -282,15 +252,6 @@ class DualSim
     {
         uint64_t cycle = 0;
         uint64_t packet_cycles = 0;
-        /** Secret protection at the checkpoint: packet advances flip
-         *  it (SwapRuntime::loadCurrent) and the byte-level undo log
-         *  does not cover it. */
-        swapmem::SecretProt secret_prot = swapmem::SecretProt::Open;
-        /** Victim placement / double-fetch swap flags: flipped by
-         *  packet advances like secret_prot and likewise outside the
-         *  byte-level undo log. */
-        bool victim_supervisor = false;
-        bool secret_swapped = false;
         bool completed = false;
         bool budget_exceeded = false;
         bool done = false;
@@ -330,13 +291,9 @@ class DualSim
 
     void runOne(const swapmem::SwapSchedule &schedule,
                 const StimulusData &data, const SimOptions &options,
-                bool flipped_secret, ift::IftMode mode,
-                TraceStore *record, const TraceStore *sibling,
-                Lane &lane, DutResult &out);
+                bool flipped_secret, ift::IftMode mode, Lane &lane,
+                DutResult &out);
 
-    void runDualFourPass(const swapmem::SwapSchedule &schedule,
-                         const StimulusData &data,
-                         const SimOptions &options, DualResult &out);
     void runDualLockstep(const swapmem::SwapSchedule &schedule,
                          const StimulusData &data,
                          const SimOptions &options, DualResult &out,
@@ -364,8 +321,6 @@ class DualSim
     /** Checkpoint target for the lockstep redo protocol (pooled so
      *  the per-checkpoint copy reuses vector storage). */
     uarch::Core ckpt_core_;
-    /** Discarded value-pass results of the legacy 4-pass path. */
-    DutResult scratch_result_;
     TraceStore store_a_;
     TraceStore store_b_;
     /** Phase-3 fusion snapshots (lane 0 / lane 1). */

@@ -95,7 +95,8 @@ class TaintCtx
   public:
     TaintCtx() = default;
 
-    /** Arm the context for one tick. @p other may be null (pass 1). */
+    /** Arm the context for one tick. @p other may be null (no
+     *  sibling trace: DiffIFT gates stay closed). */
     void
     begin(IftMode mode, ControlTrace *mine, const ControlTrace *other)
     {
@@ -126,11 +127,10 @@ class TaintCtx
             return true;
           case IftMode::DiffIFT: {
             // No sibling trace: gates stay closed. This is load-
-            // bearing for both strategies — the legacy value pass
-            // discards its taint results, but the lockstep record
-            // sub-tick KEEPS them whenever the cycle's traces turn
-            // out equal (equal traces <=> every gate closed), so
-            // "closed" is the exact resolution, not a placeholder.
+            // bearing — the lockstep record sub-tick KEEPS its taint
+            // results whenever the cycle's traces turn out equal
+            // (equal traces <=> every gate closed), so "closed" is
+            // the exact resolution, not a placeholder.
             if (other_ == nullptr)
                 return false;
             if (cursor_ >= other_->size()) {

@@ -27,9 +27,7 @@ Memory::reset()
         std::memset(&taint_[base], 0, kPageBytes);
     }
     dirty_pages_ = 0;
-    secret_prot_ = SecretProt::Open;
-    victim_supervisor_ = false;
-    secret_swapped_ = false;
+    flags_ = Flags{};
     undo_active_ = false;
     undo_.clear();
 }
@@ -54,9 +52,7 @@ Memory::copyFrom(const Memory &other)
         std::memcpy(&taint_[base], &other.taint_[base], kPageBytes);
     }
     dirty_pages_ = other.dirty_pages_;
-    secret_prot_ = other.secret_prot_;
-    victim_supervisor_ = other.victim_supervisor_;
-    secret_swapped_ = other.secret_swapped_;
+    flags_ = other.flags_;
     undo_active_ = false;
     undo_.clear();
 }
@@ -165,17 +161,17 @@ Memory::check(uint64_t addr, unsigned bytes, AccessKind kind,
     if (hits_secret && priv != isa::Priv::M) {
         // Supervisor victim placement dominates the PMP-style secret
         // protection: the page walk fails before any PMP check.
-        if (victim_supervisor_) {
+        if (flags_.victim_supervisor) {
             return kind == AccessKind::Store
                        ? ExcCause::StorePageFault
                        : ExcCause::LoadPageFault;
         }
-        if (secret_prot_ == SecretProt::Pmp) {
+        if (flags_.secret_prot == SecretProt::Pmp) {
             return kind == AccessKind::Store
                        ? ExcCause::StoreAccessFault
                        : ExcCause::LoadAccessFault;
         }
-        if (secret_prot_ == SecretProt::Pte) {
+        if (flags_.secret_prot == SecretProt::Pte) {
             return kind == AccessKind::Store
                        ? ExcCause::StorePageFault
                        : ExcCause::LoadPageFault;
@@ -236,13 +232,13 @@ Memory::check(uint64_t addr, unsigned bytes, AccessKind kind,
 void
 Memory::applySecretSwap()
 {
-    if (secret_swapped_)
+    if (flags_.secret_swapped)
         return;
     for (uint64_t i = 0; i < kSecretBytes; ++i) {
         uint64_t addr = kSecretAddr + i;
         setByte(addr, static_cast<uint8_t>(data_[addr] ^ 0x5a), true);
     }
-    secret_swapped_ = true;
+    flags_.secret_swapped = true;
 }
 
 void
@@ -275,6 +271,7 @@ Memory::beginUndo()
     dv_assert(!undo_active_);
     undo_active_ = true;
     undo_.clear();
+    undo_flags_ = flags_;
 }
 
 void
@@ -285,6 +282,7 @@ Memory::rollbackUndo()
         data_[it->addr] = it->value;
         taint_[it->addr] = it->taint;
     }
+    flags_ = undo_flags_;
     undo_.clear();
     undo_active_ = false;
 }

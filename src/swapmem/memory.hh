@@ -81,16 +81,16 @@ class Memory
     isa::ExcCause check(uint64_t addr, unsigned bytes, AccessKind kind,
                         isa::Priv priv) const;
 
-    void setSecretProt(SecretProt prot) { secret_prot_ = prot; }
-    SecretProt secretProt() const { return secret_prot_; }
+    void setSecretProt(SecretProt prot) { flags_.secret_prot = prot; }
+    SecretProt secretProt() const { return flags_.secret_prot; }
 
     /**
      * Victim placement: when set, the secret block lives in a
      * supervisor page - any U-mode access page-faults independent of
      * the PMP-style secret protection (MeltdownSupervisor template).
      */
-    void setVictimSupervisor(bool on) { victim_supervisor_ = on; }
-    bool victimSupervisor() const { return victim_supervisor_; }
+    void setVictimSupervisor(bool on) { flags_.victim_supervisor = on; }
+    bool victimSupervisor() const { return flags_.victim_supervisor; }
 
     /**
      * Double-fetch swap: XOR-mutate the secret bytes in place (via the
@@ -99,8 +99,7 @@ class Memory
      * loads after a Phase-3 fused reload apply the swap exactly once.
      */
     void applySecretSwap();
-    void clearSecretSwap() { secret_swapped_ = false; }
-    bool secretSwapped() const { return secret_swapped_; }
+    bool secretSwapped() const { return flags_.secret_swapped; }
 
     /** Install the secret block (tainted bytes). */
     void installSecret(const uint8_t *data, size_t bytes);
@@ -109,6 +108,11 @@ class Memory
     uint64_t operandAddr(unsigned slot) const;
 
     // --- undo log --------------------------------------------------------
+    /**
+     * Open an undo window. Rollback restores every byte and taint bit
+     * written since, plus the secret protection, victim placement and
+     * secret-swap flags as they were here (packet loads flip them).
+     */
     void beginUndo();
     void rollbackUndo();
     void discardUndo();
@@ -125,11 +129,19 @@ class Memory
 
     std::vector<uint8_t> data_;
     std::vector<uint8_t> taint_;
-    SecretProt secret_prot_ = SecretProt::Open;
-    bool victim_supervisor_ = false;
-    bool secret_swapped_ = false;
+    /** Protection state outside the byte image; packet loads flip it. */
+    struct Flags
+    {
+        SecretProt secret_prot = SecretProt::Open;
+        bool victim_supervisor = false;
+        bool secret_swapped = false;
+    };
+
+    Flags flags_;
     bool undo_active_ = false;
     std::vector<UndoRec> undo_;
+    /** flags_ at beginUndo, restored by rollbackUndo. */
+    Flags undo_flags_;
     /** One bit per page with any write since the last reset. */
     uint64_t dirty_pages_ = 0;
     static_assert(kMemBytes / kPageBytes <= 64,

@@ -85,9 +85,8 @@ TEST(SecretSwap, IdempotentAndUndoCovered)
     // A second application is a no-op (Phase-3 fused reload path).
     mem.applySecretSwap();
     EXPECT_EQ(mem.byte(swapmem::kSecretAddr), v1 ^ 0x5a);
-    // Speculative rollback restores the pre-swap bytes.
+    // Speculative rollback restores the pre-swap bytes and flag.
     mem.rollbackUndo();
-    mem.clearSecretSwap();
     EXPECT_EQ(mem.byte(swapmem::kSecretAddr), v1);
     EXPECT_FALSE(mem.secretSwapped());
 }

@@ -2,14 +2,16 @@
  * @file
  * Differential-harness equivalence and pooling tests.
  *
- * The lockstep co-simulation strategy must produce bit-identical
- * DutResults to the legacy 4-pass value/diff pipeline — same sinks,
- * taint logs, trace logs, timing/state hashes — across randomized
- * schedules, real triggered windows and every IftMode. The fused
- * Phase-3 lane (resume from the Phase-2 transient-boundary snapshot)
- * must be bit-identical to a standalone sanitized run. And because
- * DualSim pools its cores/memories/result buffers, a reused instance
- * must be bit-identical to a freshly constructed one.
+ * DualSim's lockstep co-simulation must produce bit-identical
+ * DutResults to FourPassOracle — an independent 4-pass value/diff
+ * reference built here on the public Core/Memory/SwapRuntime/TaintCtx
+ * calls — with the same sinks, taint logs, trace logs and
+ * timing/state hashes, across the PoC suite, real triggered windows
+ * and every IftMode. The fused Phase-3 lane (resume from the Phase-2
+ * transient-boundary snapshot) must be bit-identical to a standalone
+ * sanitized run. And because DualSim pools its cores/memories/result
+ * buffers, a reused instance must be bit-identical to a freshly
+ * constructed one.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +20,10 @@
 #include "core/phases.hh"
 #include "core/stimgen.hh"
 #include "harness/dualsim.hh"
+#include "swapmem/packet.hh"
 #include "uarch/config.hh"
+#include "uarch/core.hh"
+#include "util/bits.hh"
 #include "util/rng.hh"
 
 namespace dejavuzz {
@@ -126,15 +131,132 @@ expectDualEqual(const DualResult &a, const DualResult &b)
 }
 
 SimOptions
-fullOptions(ift::IftMode mode, bool lockstep)
+fullOptions(ift::IftMode mode)
 {
     SimOptions options;
     options.mode = mode;
     options.taint_log = true;
     options.sinks = true;
-    options.lockstep_diff = lockstep;
     return options;
 }
+
+/**
+ * Reference differential evaluation, independent of DualSim: the
+ * seed's 4-pass diffIFT pipeline. A value pass per instance records
+ * every cycle's control trace (no sibling trace, so DiffIFT gates stay
+ * closed and the pass's results are discarded); a diff pass per
+ * instance then gates against the sibling's recorded trace, which is
+ * empty (structural divergence => gates open) past the sibling's last
+ * cycle. The single-pass modes run one pass per instance.
+ */
+class FourPassOracle
+{
+  public:
+    explicit FourPassOracle(const uarch::CoreConfig &config)
+        : cfg_(config)
+    {}
+
+    DualResult
+    run(const swapmem::SwapSchedule &schedule,
+        const harness::StimulusData &data, const SimOptions &options) const
+    {
+        DualResult out;
+        if (options.mode != ift::IftMode::DiffIFT) {
+            pass(schedule, data, options, false, nullptr, nullptr,
+                 out.dut0);
+            pass(schedule, data, options, true, nullptr, nullptr,
+                 out.dut1);
+            out.sim_passes = 2;
+            return out;
+        }
+        SimOptions value_options = options;
+        value_options.taint_log = false;
+        value_options.sinks = false;
+        Traces traces0;
+        Traces traces1;
+        DutResult discarded;
+        pass(schedule, data, value_options, false, &traces0, nullptr,
+             discarded);
+        pass(schedule, data, value_options, true, &traces1, nullptr,
+             discarded);
+        pass(schedule, data, options, false, nullptr, &traces1, out.dut0);
+        pass(schedule, data, options, true, nullptr, &traces0, out.dut1);
+        out.sim_passes = 4;
+        return out;
+    }
+
+  private:
+    using Traces = std::vector<ift::ControlTrace>;
+
+    /** One instance, start to finish: records into @p record and/or
+     *  gates against @p sibling when given. */
+    void
+    pass(const swapmem::SwapSchedule &schedule,
+         const harness::StimulusData &data, const SimOptions &options,
+         bool flipped_secret, Traces *record, const Traces *sibling,
+         DutResult &out) const
+    {
+        static const ift::ControlTrace kEmpty;
+        out = DutResult{};
+        uarch::Core core(cfg_);
+        swapmem::Memory mem;
+        auto secret = flipped_secret ? data.flippedSecret() : data.secret;
+        mem.installSecret(secret.data(), secret.size());
+        for (size_t i = 0; i < data.operands.size(); ++i)
+            mem.setOperand(static_cast<unsigned>(i), data.operands[i]);
+
+        swapmem::SwapRuntime runtime(schedule);
+        uint64_t entry = runtime.start(mem);
+        if (runtime.done()) {
+            out.completed = true;
+            return;
+        }
+        core.startSequence(entry);
+        out.packet_start.push_back(0);
+        uint64_t packet_cycles = 0;
+        while (core.cycle() < options.total_cycle_budget) {
+            uint64_t cycle = core.cycle();
+            ift::ControlTrace *mine = nullptr;
+            if (record != nullptr) {
+                record->resize(cycle + 1);
+                mine = &record->back();
+            }
+            const ift::ControlTrace *other = nullptr;
+            if (sibling != nullptr)
+                other = cycle < sibling->size() ? &(*sibling)[cycle]
+                                                : &kEmpty;
+            ift::TaintCtx ctx;
+            ctx.begin(options.mode, mine, other);
+            uarch::TickEvents ev = core.tick(mem, ctx, &out.trace);
+            if (options.taint_log)
+                core.appendTaintLog(out.taint_log);
+            bool force_advance =
+                ++packet_cycles >= options.packet_cycle_budget;
+            if (force_advance)
+                out.budget_exceeded = true;
+            if (ev.swap_next || ev.trapped || force_advance) {
+                uint64_t next_entry = runtime.advance(mem);
+                if (runtime.done()) {
+                    out.completed = true;
+                    break;
+                }
+                core.flushICache();
+                core.startSequence(next_entry);
+                out.packet_start.push_back(core.cycle());
+                packet_cycles = 0;
+            }
+        }
+        out.cycles = core.cycle();
+        out.contention = core.contention;
+        out.timing_hash = core.timingStateHash();
+        out.state_hash =
+            fnv1a(out.timing_hash, core.cachedDataHash(mem));
+        if (options.sinks)
+            core.enumSinks(out.sinks);
+    }
+
+    uarch::CoreConfig cfg_;
+};
 
 /** Generate Phase-1-triggered, window-completed test cases. */
 std::vector<TestCase>
@@ -162,17 +284,13 @@ TEST(DualSimEquivalence, LockstepMatchesFourPassOnPocSuite)
 {
     auto cfg = uarch::smallBoomConfig();
     DualSim lockstep_sim(cfg);
-    DualSim fourpass_sim(cfg);
+    FourPassOracle oracle(cfg);
+    auto options = fullOptions(ift::IftMode::DiffIFT);
     for (const auto &poc : bench::pocSuite()) {
         SCOPED_TRACE(poc.name);
-        auto a = lockstep_sim.runDual(
-            poc.schedule, poc.data,
-            fullOptions(ift::IftMode::DiffIFT, true));
-        auto b = fourpass_sim.runDual(
-            poc.schedule, poc.data,
-            fullOptions(ift::IftMode::DiffIFT, false));
+        auto a = lockstep_sim.runDual(poc.schedule, poc.data, options);
+        auto b = oracle.run(poc.schedule, poc.data, options);
         EXPECT_EQ(a.sim_passes, 2u);
-        EXPECT_EQ(b.sim_passes, 4u);
         expectDualEqual(a, b);
     }
 }
@@ -185,62 +303,31 @@ TEST(DualSimEquivalence, LockstepMatchesFourPassOnTriggeredWindows)
         auto cases = triggeredCases(cfg, 6);
         ASSERT_FALSE(cases.empty());
         DualSim lockstep_sim(cfg);
-        DualSim fourpass_sim(cfg);
+        FourPassOracle oracle(cfg);
+        auto options = fullOptions(ift::IftMode::DiffIFT);
         for (size_t i = 0; i < cases.size(); ++i) {
             SCOPED_TRACE(i);
-            auto a = lockstep_sim.runDual(
-                cases[i].schedule, cases[i].data,
-                fullOptions(ift::IftMode::DiffIFT, true));
-            auto b = fourpass_sim.runDual(
-                cases[i].schedule, cases[i].data,
-                fullOptions(ift::IftMode::DiffIFT, false));
+            auto a = lockstep_sim.runDual(cases[i].schedule,
+                                          cases[i].data, options);
+            auto b =
+                oracle.run(cases[i].schedule, cases[i].data, options);
             expectDualEqual(a, b);
         }
     }
 }
 
-TEST(DualSimEquivalence, CheckpointIntervalSweepIsBitIdentical)
-{
-    // The checkpoint cadence is a pure time/space trade-off; any
-    // interval must replay/redo to the same bits. The whole-run
-    // interval is the regression guard for rollback state the undo
-    // log does not cover (e.g. the secret protection a packet
-    // advance flips before a divergence forces a replay across it).
-    auto cfg = uarch::smallBoomConfig();
-    DualSim fourpass_sim(cfg);
-    for (const auto &poc : bench::pocSuite()) {
-        SCOPED_TRACE(poc.name);
-        auto baseline = fourpass_sim.runDual(
-            poc.schedule, poc.data,
-            fullOptions(ift::IftMode::DiffIFT, false));
-        for (uint64_t interval : {uint64_t{1}, uint64_t{7},
-                                  uint64_t{1000000}}) {
-            SCOPED_TRACE(interval);
-            DualSim lockstep_sim(cfg);
-            auto options = fullOptions(ift::IftMode::DiffIFT, true);
-            options.lockstep_checkpoint_interval = interval;
-            auto a = lockstep_sim.runDual(poc.schedule, poc.data,
-                                          options);
-            expectDualEqual(a, baseline);
-        }
-    }
-}
-
-TEST(DualSimEquivalence, StrategySwitchIsIdentityForSinglePassModes)
+TEST(DualSimEquivalence, SinglePassModesMatchOracle)
 {
     auto cfg = uarch::smallBoomConfig();
     auto poc = bench::meltdown();
-    DualSim sim_a(cfg);
-    DualSim sim_b(cfg);
+    DualSim sim(cfg);
+    FourPassOracle oracle(cfg);
     for (auto mode : {ift::IftMode::Off, ift::IftMode::CellIFT,
                       ift::IftMode::DiffIFTFN}) {
         SCOPED_TRACE(static_cast<int>(mode));
-        auto a = sim_a.runDual(poc.schedule, poc.data,
-                               fullOptions(mode, true));
-        auto b = sim_b.runDual(poc.schedule, poc.data,
-                               fullOptions(mode, false));
+        auto a = sim.runDual(poc.schedule, poc.data, fullOptions(mode));
+        auto b = oracle.run(poc.schedule, poc.data, fullOptions(mode));
         EXPECT_EQ(a.sim_passes, 2u);
-        EXPECT_EQ(b.sim_passes, 2u);
         expectDualEqual(a, b);
     }
 }
@@ -272,8 +359,16 @@ TEST(DualSimEquivalence, FusedPhase3MatchesStandaloneSanitizedRun)
                 DualResult phase2;
                 fused_sim.runDual(
                     tc.schedule, tc.data,
-                    fullOptions(ift::IftMode::DiffIFT, true), phase2);
+                    fullOptions(ift::IftMode::DiffIFT), phase2);
                 ASSERT_TRUE(fused_sim.fusionCaptured());
+
+                // The capture hook must leave the Phase-2 run itself
+                // unchanged.
+                DualResult unarmed;
+                standalone_sim.runDual(
+                    tc.schedule, tc.data,
+                    fullOptions(ift::IftMode::DiffIFT), unarmed);
+                expectDualEqual(phase2, unarmed);
 
                 SimOptions p3;
                 p3.mode = ift::IftMode::DiffIFT;
@@ -296,10 +391,14 @@ TEST(DualSimEquivalence, FusedPhase3MatchesStandaloneSanitizedRun)
 
 TEST(DualSimEquivalence, FusionOnOffIsIdentityThroughPhase3)
 {
-    // End-to-end through the phase drivers: the fused third lane and
-    // the standalone sanitized run must reach the same Phase-3
-    // verdicts, with the fused path spending one simulation pass
-    // where the standalone path spends two.
+    // End-to-end through the phase drivers: Phase 2 arms the fusion
+    // capture, and its differential result must equal an unarmed run
+    // of the same case on a second DualSim. Phase 3 on the DualSim
+    // that ran Phase 2 resumes the fused third lane; Phase 3 on the
+    // second DualSim, which never captured, runs the standalone
+    // sanitized simulation. Both must reach the same verdicts, with
+    // the fused path spending one simulation pass where the
+    // standalone path spends two.
     auto cfg = uarch::smallBoomConfig();
     StimGen gen(cfg);
     auto cases = triggeredCases(cfg, 4);
@@ -307,28 +406,27 @@ TEST(DualSimEquivalence, FusionOnOffIsIdentityThroughPhase3)
 
     DualSim fused_sim(cfg);
     DualSim plain_sim(cfg);
-    ift::TaintCoverage cov_fused;
-    auto ids_fused = uarch::Core::registerModules(cov_fused, cfg);
-    ift::TaintCoverage cov_plain;
-    auto ids_plain = uarch::Core::registerModules(cov_plain, cfg);
+    ift::TaintCoverage coverage;
+    auto ids = uarch::Core::registerModules(coverage, cfg);
     SimOptions base;
     base.mode = ift::IftMode::DiffIFT;
-    core::Phase2 phase2_fused(fused_sim, base, cov_fused, ids_fused,
-                              &gen);
+    core::Phase2 phase2(fused_sim, base, coverage, ids, gen);
     core::Phase3 phase3_fused(fused_sim, base, gen);
-    core::Phase2 phase2_plain(plain_sim, base, cov_plain, ids_plain);
     core::Phase3 phase3_plain(plain_sim, base, gen);
 
+    size_t captured = 0;
     for (size_t i = 0; i < cases.size(); ++i) {
         SCOPED_TRACE(i);
-        const core::Phase2Result &ra = phase2_fused.run(cases[i]);
-        core::Phase3Result va = phase3_fused.run(cases[i], ra);
-        const core::Phase2Result &rb = phase2_plain.run(cases[i]);
-        core::Phase3Result vb = phase3_plain.run(cases[i], rb);
+        const core::Phase2Result &explored = phase2.run(cases[i]);
+        if (fused_sim.fusionCaptured())
+            ++captured;
+        DualResult unarmed;
+        plain_sim.runDual(cases[i].schedule, cases[i].data,
+                          fullOptions(ift::IftMode::DiffIFT), unarmed);
+        expectDualEqual(explored.dual, unarmed);
 
-        EXPECT_EQ(ra.window_ok, rb.window_ok);
-        EXPECT_EQ(ra.taint_propagated, rb.taint_propagated);
-        expectDualEqual(ra.dual, rb.dual);
+        core::Phase3Result va = phase3_fused.run(cases[i], explored);
+        core::Phase3Result vb = phase3_plain.run(cases[i], explored);
 
         EXPECT_EQ(va.leak, vb.leak);
         EXPECT_EQ(va.encoded_sinks, vb.encoded_sinks);
@@ -346,6 +444,7 @@ TEST(DualSimEquivalence, FusionOnOffIsIdentityThroughPhase3)
             EXPECT_EQ(va.simulations, vb.simulations);
         }
     }
+    EXPECT_GT(captured, 0u);
 }
 
 TEST(DualSimReuse, PooledRunsMatchFreshInstance)
@@ -353,7 +452,7 @@ TEST(DualSimReuse, PooledRunsMatchFreshInstance)
     auto cfg = uarch::smallBoomConfig();
     auto cases = triggeredCases(cfg, 3);
     ASSERT_GE(cases.size(), 2u);
-    auto options = fullOptions(ift::IftMode::DiffIFT, true);
+    auto options = fullOptions(ift::IftMode::DiffIFT);
 
     // Dirty the pooled instance with every other case first, then run
     // the probe case; a fresh instance runs only the probe. Reset
@@ -381,7 +480,7 @@ TEST(DualSimReuse, PooledRunSingleMatchesFresh)
     DualSim pooled(cfg);
     (void)pooled.runSingle(other.schedule, other.data, options);
     (void)pooled.runDual(other.schedule, other.data,
-                         fullOptions(ift::IftMode::DiffIFT, true));
+                         fullOptions(ift::IftMode::DiffIFT));
     auto reused = pooled.runSingle(poc.schedule, poc.data, options);
 
     DualSim fresh(cfg);
@@ -393,7 +492,7 @@ TEST(DualSimReuse, OutParamBuffersAreReusedAcrossRuns)
 {
     auto cfg = uarch::smallBoomConfig();
     auto poc = bench::spectreV1();
-    auto options = fullOptions(ift::IftMode::DiffIFT, true);
+    auto options = fullOptions(ift::IftMode::DiffIFT);
 
     DualSim sim(cfg);
     DualResult pooled_result;
@@ -412,7 +511,7 @@ TEST(DualSimReuse, ShorterRunAfterLongerRunSeesNoStaleTraces)
     auto cfg = uarch::smallBoomConfig();
     auto long_poc = bench::spectreV2();
     auto short_poc = bench::spectreV1();
-    auto options = fullOptions(ift::IftMode::DiffIFT, true);
+    auto options = fullOptions(ift::IftMode::DiffIFT);
 
     DualSim pooled(cfg);
     (void)pooled.runDual(long_poc.schedule, long_poc.data, options);

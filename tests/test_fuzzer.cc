@@ -146,7 +146,7 @@ TEST(Phase2, TaintPropagatesAndCoverageGrows)
     options.mode = ift::IftMode::DiffIFT;
     ift::TaintCoverage coverage;
     auto ids = uarch::Core::registerModules(coverage, cfg);
-    Phase2 phase2(sim, options, coverage, ids);
+    Phase2 phase2(sim, options, coverage, ids, gen);
 
     // Several mutations: at least one must propagate taint.
     bool propagated = false;
@@ -172,7 +172,7 @@ TEST(Phase3, FindsLeakOnBuggyBoom)
     ift::TaintCoverage coverage;
     auto ids = uarch::Core::registerModules(coverage, cfg);
     Phase1 phase1(sim, options);
-    Phase2 phase2(sim, options, coverage, ids);
+    Phase2 phase2(sim, options, coverage, ids, gen);
     Phase3 phase3(sim, options, gen);
 
     Rng rng(4242);

@@ -76,6 +76,39 @@ TEST(Replay, ReplaysAcrossConfigsAndVariants)
         EXPECT_FALSE(bug.config.empty());
 }
 
+TEST(Replay, HeadsLedgerReplaysFully)
+{
+    // A heads fleet records "head-<name>" variants; replay must
+    // resolve them from the same head matrix the campaign ran.
+    CampaignOptions options = smallCampaign(4, 1500);
+    options.policy = campaign::ShardPolicy::Heads;
+    CampaignOrchestrator orchestrator(options);
+    orchestrator.run();
+    ASSERT_GT(orchestrator.ledger().distinct(), 0u);
+
+    const replay::ReplaySummary summary =
+        replay::replayLedger(orchestrator.makeCheckpoint().ledger);
+    for (const replay::BugReplay &bug : summary.bugs) {
+        EXPECT_EQ(bug.variant.rfind("head-", 0), 0u) << bug.variant;
+        EXPECT_TRUE(bug.reproduced)
+            << bug.key << " did not reproduce: " << bug.observed;
+    }
+    EXPECT_TRUE(summary.allReproduced());
+}
+
+TEST(Replay, HeadVariantsResolveToTheirMasks)
+{
+    for (const campaign::HeadSpec &spec : campaign::headMatrix()) {
+        core::FuzzerOptions fopts;
+        ASSERT_TRUE(campaign::applyAblationVariant(
+            std::string("head-") + spec.name, fopts));
+        EXPECT_EQ(fopts.trigger_mask, spec.trigger_mask);
+        EXPECT_EQ(fopts.model_mask, spec.model_mask);
+    }
+    core::FuzzerOptions fopts;
+    EXPECT_FALSE(campaign::applyAblationVariant("head-nosuch", fopts));
+}
+
 TEST(Replay, UnknownConfigIsReportedNotCrashed)
 {
     CampaignOrchestrator orchestrator(smallCampaign(1, 500));

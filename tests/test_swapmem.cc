@@ -385,5 +385,127 @@ TEST(SwapRuntime, PacketLoadsRoundTripThroughMemory)
     EXPECT_EQ(entry, 0u);
 }
 
+// --- memory undo log ----------------------------------------------------
+
+/** Everything a Memory exposes: bytes, per-byte taint, the flags. */
+struct MemState
+{
+    std::vector<uint8_t> bytes;
+    std::vector<uint8_t> taint;
+    swapmem::SecretProt prot;
+    bool victim_supervisor;
+    bool secret_swapped;
+
+    bool operator==(const MemState &) const = default;
+};
+
+MemState
+observe(const swapmem::Memory &mem)
+{
+    MemState state;
+    state.bytes.resize(swapmem::kMemBytes);
+    state.taint.resize(swapmem::kMemBytes);
+    for (uint64_t addr = 0; addr < swapmem::kMemBytes; ++addr) {
+        state.bytes[addr] = mem.byte(addr);
+        state.taint[addr] = mem.read(addr, 1).t != 0;
+    }
+    state.prot = mem.secretProt();
+    state.victim_supervisor = mem.victimSupervisor();
+    state.secret_swapped = mem.secretSwapped();
+    return state;
+}
+
+/** An address biased toward the secret block, occasionally out of
+ *  the image (stores there are dropped). */
+uint64_t
+randomAddr(Rng &rng)
+{
+    switch (rng.below(4)) {
+      case 0:
+        return swapmem::kSecretAddr + rng.below(swapmem::kSecretBytes);
+      case 1:
+        return swapmem::kMemBytes - 8 + rng.below(16);
+      default:
+        return rng.below(swapmem::kMemBytes);
+    }
+}
+
+/** One random Memory mutation: a byte-level store or a flag flip. */
+void
+mutate(swapmem::Memory &mem, Rng &rng)
+{
+    switch (rng.below(7)) {
+      case 0:
+        mem.setByte(randomAddr(rng), static_cast<uint8_t>(rng.next()),
+                    rng.chance(1, 2));
+        break;
+      case 1: {
+        const unsigned widths[] = {1, 2, 4, 8};
+        mem.write(randomAddr(rng), widths[rng.below(4)],
+                  ift::TV{rng.next(), rng.chance(1, 2) ? rng.next() : 0});
+        break;
+      }
+      case 2: {
+        std::vector<uint32_t> words(1 + rng.below(32));
+        for (uint32_t &word : words)
+            word = static_cast<uint32_t>(rng.next());
+        mem.loadBlock(randomAddr(rng), words.data(), words.size());
+        break;
+      }
+      case 3:
+        mem.zeroRange(randomAddr(rng), rng.below(256));
+        break;
+      case 4:
+        mem.setSecretProt(
+            static_cast<swapmem::SecretProt>(rng.below(3)));
+        break;
+      case 5:
+        mem.setVictimSupervisor(rng.chance(1, 2));
+        break;
+      default:
+        mem.applySecretSwap();
+        break;
+    }
+}
+
+TEST(MemoryUndo, RollbackRestoresBytesTaintAndFlags)
+{
+    // Property: whatever happens inside an undo window — stores,
+    // packet-style block loads and zero fills, secret-protection,
+    // victim-placement and secret-swap flips — rollbackUndo restores
+    // the exact state at beginUndo, flags included; discardUndo keeps
+    // the window's changes.
+    Rng rng(0x0d0109);
+    swapmem::Memory mem;
+    unsigned flag_flips = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+        mem.reset();
+        uint8_t secret[swapmem::kSecretBytes];
+        for (uint8_t &byte : secret)
+            byte = static_cast<uint8_t>(rng.next());
+        mem.installSecret(secret, sizeof(secret));
+        for (unsigned i = rng.below(8); i > 0; --i)
+            mutate(mem, rng);
+        const MemState before = observe(mem);
+
+        mem.beginUndo();
+        for (unsigned i = 1 + rng.below(24); i > 0; --i)
+            mutate(mem, rng);
+        const MemState after = observe(mem);
+        flag_flips += after.prot != before.prot ||
+                      after.victim_supervisor != before.victim_supervisor ||
+                      after.secret_swapped != before.secret_swapped;
+        if (rng.chance(1, 4)) {
+            mem.discardUndo();
+            EXPECT_TRUE(observe(mem) == after) << "trial " << trial;
+            continue;
+        }
+        mem.rollbackUndo();
+        EXPECT_TRUE(observe(mem) == before) << "trial " << trial;
+    }
+    // The flags must actually have moved inside some windows.
+    EXPECT_GT(flag_flips, 10u);
+}
+
 } // namespace
 } // namespace dejavuzz

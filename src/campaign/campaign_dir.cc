@@ -230,22 +230,16 @@ readMeta(std::istream &is, CampaignMeta &out, std::string *error)
     metaU64(obj, "batch", out.batch_iterations, field_error);
     metaBool(obj, "steal", out.steal_batches, field_error);
     metaU64(obj, "steals", out.steals_per_epoch, field_error);
-    // Optional: meta.json files written before the attack-model
-    // layer carry no template mask and imply the legacy model.
-    if (obj.count("templates"))
-        metaU64(obj, "templates", out.model_mask, field_error);
-    else
-        out.model_mask = core::kLegacyModelMask;
+    metaU64(obj, "templates", out.model_mask, field_error);
     metaU64(obj, "corpus_shards", out.corpus_shards, field_error);
     metaU64(obj, "corpus_cap", out.corpus_shard_cap, field_error);
-    // Optional: pre-robustness meta.json files carry no save
-    // generation and vouch for raw (trailer-less) artifacts.
-    if (obj.count("generation"))
-        metaU64(obj, "generation", out.generation, field_error);
-    else
-        out.generation = 0;
+    metaU64(obj, "generation", out.generation, field_error);
     if (!field_error.empty())
         return fail(field_error);
+    // Every save writes generation >= 1 (saveCampaignDir).
+    if (out.generation == 0)
+        return fail("meta.json: field \"generation\" must be at "
+                    "least 1");
 
     out.meta_version = static_cast<uint32_t>(meta_version);
     out.corpus_version = static_cast<uint32_t>(corpus_version);
@@ -259,20 +253,10 @@ metaMismatches(const CampaignMeta &saved, const CampaignMeta &current)
     std::vector<std::string> out;
     mismatchU64(out, "meta_version", saved.meta_version,
                 current.meta_version);
-    // Older corpus/snapshot formats stay resumable as long as the
-    // current loaders read them (they accept every version up to
-    // their own); re-saving upgrades the directory to the current
-    // format. Only a *newer* saved format is a real mismatch.
-    if (saved.corpus_version < 1 ||
-        saved.corpus_version > current.corpus_version) {
-        mismatchU64(out, "corpus_version", saved.corpus_version,
-                    current.corpus_version);
-    }
-    if (saved.snapshot_version < 1 ||
-        saved.snapshot_version > current.snapshot_version) {
-        mismatchU64(out, "snapshot_version", saved.snapshot_version,
-                    current.snapshot_version);
-    }
+    mismatchU64(out, "corpus_version", saved.corpus_version,
+                current.corpus_version);
+    mismatchU64(out, "snapshot_version", saved.snapshot_version,
+                current.snapshot_version);
     mismatchU64(out, "master_seed", saved.master_seed,
                 current.master_seed);
     mismatchU64(out, "workers", saved.workers, current.workers);
@@ -334,9 +318,8 @@ readMetaFile(const std::string &path, CampaignMeta &out,
 bool
 readGenArtifact(const std::string &path, uint64_t gen,
                 std::string &payload, bool &from_prev,
-                std::string *why)
+                std::string &why)
 {
-    std::string primary_why;
     for (int attempt = 0; attempt < 2; ++attempt) {
         const std::string candidate =
             attempt == 0 ? path : prevPath(path);
@@ -355,31 +338,8 @@ readGenArtifact(const std::string &path, uint64_t gen,
             }
         }
         if (attempt == 0)
-            primary_why = path + ": " + err;
+            why = path + ": " + err;
     }
-    if (why)
-        *why = primary_why;
-    return false;
-}
-
-/** Legacy generation-0 artifact: raw bytes, no trailer. Tried at
- *  @p path, then @p path.prev (where a later interrupted save may
- *  have rotated it). */
-bool
-readRawArtifact(const std::string &path, std::string &payload,
-                bool &from_prev, std::string *why)
-{
-    std::string err;
-    if (readWholeFile(path, payload, &err)) {
-        from_prev = false;
-        return true;
-    }
-    if (readWholeFile(prevPath(path), payload, nullptr)) {
-        from_prev = true;
-        return true;
-    }
-    if (why)
-        *why = path + ": " + err;
     return false;
 }
 
@@ -418,63 +378,39 @@ metaCandidates(const CampaignDirPaths &paths, std::string &why)
  * trailers. A *torn* artifact fails the candidate (the caller falls
  * back to the next one); an artifact whose CRC validates but whose
  * payload does not parse is corruption beyond the tearing model and
- * fails hard via @p hard_error.
+ * fails hard via @p hard_error, so the caller stops there instead
+ * of falling back to a stale generation.
  */
 bool
 loadGeneration(const CampaignDirPaths &paths,
                const MetaCandidate &cand, CorpusFile *corpus,
                CampaignCheckpoint &checkpoint, bool &used_prev,
-               std::string *why, std::string *hard_error)
+               std::string &why, std::string &hard_error)
 {
-    const uint64_t gen = cand.meta.generation;
     used_prev = cand.from_prev;
-
-    bool prev = false;
-    std::string snap_payload;
-    const bool snap_ok =
-        gen == 0 ? readRawArtifact(paths.snapshot, snap_payload,
-                                   prev, why)
-                 : readGenArtifact(paths.snapshot, gen, snap_payload,
-                                   prev, why);
-    if (!snap_ok)
-        return false;
-    used_prev |= prev;
-    std::istringstream snap_in(snap_payload);
-    std::string sub;
-    if (!loadCheckpoint(snap_in, checkpoint, &sub)) {
-        if (gen != 0) {
-            // CRC-valid but unparseable: real corruption, not a torn
-            // save — do not mask it behind a stale fallback.
-            if (hard_error)
-                *hard_error = paths.snapshot + ": " + sub;
-        } else if (why) {
-            *why = paths.snapshot + ": " + sub;
-        }
-        return false;
-    }
-
-    if (corpus != nullptr) {
-        std::string corpus_payload;
-        const bool corpus_ok =
-            gen == 0 ? readRawArtifact(paths.corpus, corpus_payload,
-                                       prev, why)
-                     : readGenArtifact(paths.corpus, gen,
-                                       corpus_payload, prev, why);
-        if (!corpus_ok)
+    auto load = [&](const std::string &path, auto parse) {
+        bool prev = false;
+        std::string payload, sub;
+        if (!readGenArtifact(path, cand.meta.generation, payload, prev,
+                             why)) {
             return false;
+        }
         used_prev |= prev;
-        std::istringstream corpus_in(corpus_payload);
-        if (!SharedCorpus::loadFrom(corpus_in, *corpus, &sub)) {
-            if (gen != 0) {
-                if (hard_error)
-                    *hard_error = paths.corpus + ": " + sub;
-            } else if (why) {
-                *why = paths.corpus + ": " + sub;
-            }
+        std::istringstream in(payload);
+        if (!parse(in, sub)) {
+            hard_error = path + ": " + sub;
             return false;
         }
-    }
-    return true;
+        return true;
+    };
+    return load(paths.snapshot,
+                [&](std::istream &in, std::string &sub) {
+                    return loadCheckpoint(in, checkpoint, &sub);
+                }) &&
+           (corpus == nullptr ||
+            load(paths.corpus, [&](std::istream &in, std::string &sub) {
+                return SharedCorpus::loadFrom(in, *corpus, &sub);
+            }));
 }
 
 bool
@@ -503,7 +439,7 @@ loadDirImpl(const std::string &dir, CampaignMeta &meta,
         CampaignCheckpoint cp;
         CorpusFile cf;
         if (loadGeneration(paths, cand, corpus ? &cf : nullptr, cp,
-                           used_prev, &why, &hard_error)) {
+                           used_prev, why, hard_error)) {
             meta = cand.meta;
             checkpoint = std::move(cp);
             if (corpus)
@@ -644,12 +580,7 @@ saveCampaignDir(const std::string &dir,
                 path == paths.log ? logTrailerGeneration(path, gen)
                                   : binaryArtifactGeneration(path,
                                                              gen);
-            // Legacy generation-0 artifacts carry no trailer; a
-            // tagged artifact belongs to old_gen only when the
-            // generations match.
-            const bool belongs =
-                old_gen == 0 ? !tagged : (tagged && gen == old_gen);
-            if (!belongs)
+            if (!tagged || gen != old_gen)
                 continue;
             fs::rename(path, prevPath(path), ec);
             if (ec)

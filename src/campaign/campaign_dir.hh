@@ -79,17 +79,15 @@ struct CampaignMeta
     uint64_t batch_iterations = 0;
     bool steal_batches = true;
     uint64_t steals_per_epoch = 0;
-    /** Fleet-wide attack-template mask (`--templates`); absent in
-     *  older meta.json files, which imply the legacy single model. */
+    /** Fleet-wide attack-template mask (`--templates`). */
     uint64_t model_mask = core::kLegacyModelMask;
     uint64_t corpus_shards = 0;
     uint64_t corpus_shard_cap = 0;
     /** Save-generation counter: incremented on every save (autosave
      *  or final), binding meta.json to the artifact trailers written
      *  with it. Not part of the campaign configuration — never
-     *  compared by metaMismatches(). Absent in pre-robustness
-     *  meta.json files, which imply generation 0 and raw
-     *  (trailer-less) artifacts. */
+     *  compared by metaMismatches(). Every save writes at least 1;
+     *  readMeta() rejects 0. */
     uint64_t generation = 0;
 };
 
@@ -100,9 +98,10 @@ CampaignMeta metaFromOptions(const CampaignOptions &options);
 void writeMeta(std::ostream &os, const CampaignMeta &meta);
 
 /**
- * Parse a meta.json written by writeMeta(). Strict: a malformed or
- * non-flat object, a missing/mistyped field, or trailing content
- * fails with a diagnostic in @p error (when non-null).
+ * Parse a meta.json written by saveCampaignDir(). Strict: a
+ * malformed or non-flat object, a missing/mistyped field, a zero
+ * generation, or trailing content fails with a diagnostic in
+ * @p error (when non-null).
  */
 bool readMeta(std::istream &is, CampaignMeta &out,
               std::string *error = nullptr);

@@ -52,7 +52,6 @@ struct CorpusKey
 /** Parsed contents of a persisted corpus file. */
 struct CorpusFile
 {
-    uint32_t version = 0;
     uint64_t master_seed = 0;     ///< master seed of the saving campaign
     std::vector<CorpusEntry> entries;
 };
@@ -123,10 +122,9 @@ class SharedCorpus
      */
     size_t removeMatching(const core::TestCase &tc);
 
-    /** Corpus file format version written by saveTo(). v2 appended
-     *  the attack-model fields to each test case; loadFrom() still
-     *  reads v1 files (their entries get the implicit same-domain
-     *  model). The format is specified in docs/campaign-format.md. */
+    /** Corpus file format version written by saveTo() and the only
+     *  one loadFrom() accepts. The format is specified in
+     *  docs/campaign-format.md. */
     static constexpr uint32_t kFormatVersion = 2;
 
     /**

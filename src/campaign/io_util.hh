@@ -4,7 +4,8 @@
  * coverage/checkpoint snapshot, bug-ledger records).
  *
  * All formats built on these primitives are little-endian and
- * strictly validated on load: the Reader turns any truncation into a
+ * strictly validated on load: a reader accepts exactly the version
+ * its writer emits, the Reader turns any truncation into a
  * sticky error, every count/length is bounded before it sizes an
  * allocation, and enum bytes are range-checked — a corrupt file
  * yields a clean error return, never a crash or a half-loaded
@@ -85,20 +86,11 @@ bool readIndex(Reader &in, size_t &out, const char *what);
 
 // --- test-case payload ------------------------------------------------------
 
-/** Container format version that first carried the attack-model
- *  fields (seed.model, schedule.victim_supervisor/double_fetch). */
-constexpr uint32_t kTestCaseModelVersion = 2;
-
 /** Serialize the complete test case (the corpus entry payload). */
 void writeTestCase(std::ostream &os, const core::TestCase &tc);
-/**
- * Strictly parse a test case written by writeTestCase(). @p version
- * is the enclosing container's format version: v1 payloads predate
- * the attack-model fields (their absence restores the implicit
- * same-domain model) and bound the trigger byte at the legacy count.
- */
-bool readTestCase(Reader &in, core::TestCase &tc,
-                  uint32_t version = kTestCaseModelVersion);
+/** Strictly parse a test case written by writeTestCase(). The
+ *  enclosing container checks its own version first. */
+bool readTestCase(Reader &in, core::TestCase &tc);
 
 } // namespace dejavuzz::campaign::bio
 

@@ -24,12 +24,15 @@
  * ledger as a regression suite.
  */
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "campaign/campaign_dir.hh"
@@ -131,23 +134,30 @@ usage(const char *argv0)
         argv0);
 }
 
+/** Parse a decimal integer into @p out: digits only (strtoull would
+ *  also take whitespace and a sign, negating "-5" into a huge value),
+ *  and no larger than T holds. */
+template <typename T>
 bool
-parseUint(const char *text, uint64_t &out)
+parseUint(const char *text, T &out)
 {
-    char *end = nullptr;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0')
+    if (*text == '\0' || text[std::strspn(text, "0123456789")] != '\0')
         return false;
-    out = value;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text, nullptr, 10);
+    if (errno == ERANGE || value > std::numeric_limits<T>::max())
+        return false;
+    out = static_cast<T>(value);
     return true;
 }
 
+/** Parse a finite double into @p out (strtod also takes nan/inf). */
 bool
 parseDouble(const char *text, double &out)
 {
     char *end = nullptr;
     double value = std::strtod(text, &end);
-    if (end == text || *end != '\0')
+    if (end == text || *end != '\0' || !std::isfinite(value))
         return false;
     out = value;
     return true;
@@ -189,14 +199,14 @@ main(int argc, char **argv)
             std::exit(2);
         };
 
-        uint64_t n = 0;
         if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
         } else if (arg == "--workers") {
-            if (!parseUint(value(), n) || n == 0)
+            if (!parseUint(value(), options.workers) ||
+                options.workers == 0) {
                 bad();
-            options.workers = static_cast<unsigned>(n);
+            }
         } else if (arg == "--policy") {
             const std::string policy = value();
             if (policy == "replicas")
@@ -266,19 +276,16 @@ main(int argc, char **argv)
         } else if (arg == "--no-steal") {
             options.steal_batches = false;
         } else if (arg == "--batch-retries") {
-            if (!parseUint(value(), n))
+            if (!parseUint(value(), options.batch_retries))
                 bad();
-            options.batch_retries = static_cast<unsigned>(n);
         } else if (arg == "--batch-deadline") {
             if (!parseDouble(value(), options.batch_deadline_sec) ||
                 options.batch_deadline_sec < 0.0) {
                 bad();
             }
         } else if (arg == "--kind-disable") {
-            if (!parseUint(value(), n))
+            if (!parseUint(value(), options.kind_disable_failures))
                 bad();
-            options.kind_disable_failures =
-                static_cast<unsigned>(n);
         } else if (arg == "--autosave-sec") {
             if (!parseDouble(value(), options.autosave_sec) ||
                 options.autosave_sec < 0.0) {
@@ -290,17 +297,18 @@ main(int argc, char **argv)
             if (!parseUint(value(), options.master_seed))
                 bad();
         } else if (arg == "--steals") {
-            if (!parseUint(value(), n))
+            if (!parseUint(value(), options.steals_per_epoch))
                 bad();
-            options.steals_per_epoch = static_cast<unsigned>(n);
         } else if (arg == "--corpus-shards") {
-            if (!parseUint(value(), n) || n == 0)
+            if (!parseUint(value(), options.corpus_shards) ||
+                options.corpus_shards == 0) {
                 bad();
-            options.corpus_shards = static_cast<unsigned>(n);
+            }
         } else if (arg == "--corpus-cap") {
-            if (!parseUint(value(), n) || n == 0)
+            if (!parseUint(value(), options.corpus_shard_cap) ||
+                options.corpus_shard_cap == 0) {
                 bad();
-            options.corpus_shard_cap = static_cast<unsigned>(n);
+            }
         } else if (arg == "--out") {
             out_path = value();
         } else if (arg == "--corpus-in") {

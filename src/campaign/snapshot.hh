@@ -36,11 +36,8 @@
 
 namespace dejavuzz::campaign {
 
-/** Snapshot format version written by saveCheckpoint(). v2 appended
- *  the attack-model fields to every embedded test case and widened
- *  the bug-record attack/window enum bounds; loadCheckpoint() still
- *  reads v1 snapshots (their cases get the implicit same-domain
- *  model). */
+/** Snapshot format version written by saveCheckpoint() and the only
+ *  one loadCheckpoint() accepts. */
 constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /** One config group's global coverage bitmaps. */
@@ -70,7 +67,6 @@ struct ShardSnap
 /** Complete persistable campaign state (minus the corpus file). */
 struct CampaignCheckpoint
 {
-    uint32_t version = kSnapshotFormatVersion;
     uint64_t master_seed = 0;
     uint64_t iterations_done = 0; ///< fleet iterations executed
     uint64_t epochs_done = 0;     ///< epochs completed
@@ -97,9 +93,10 @@ bool saveCheckpoint(std::ostream &os, const CampaignCheckpoint &cp);
 
 /**
  * Strictly parse a snapshot written by saveCheckpoint(). Bad magic,
- * an unknown version, truncation, out-of-range enums/counts, a
- * degenerate Rng state, or trailing bytes all fail the load with a
- * diagnostic in @p error (when non-null); @p out is then unusable.
+ * any version but kSnapshotFormatVersion, truncation, out-of-range
+ * enums/counts, a degenerate Rng state, or trailing bytes all fail
+ * the load with a diagnostic in @p error (when non-null); @p out is
+ * then unusable.
  */
 bool loadCheckpoint(std::istream &is, CampaignCheckpoint &out,
                     std::string *error = nullptr);

@@ -53,20 +53,16 @@ writeBugRecord(std::ostream &os, const BugRecord &record)
 }
 
 bool
-readBugRecord(bio::Reader &in, BugRecord &record, uint32_t version)
+readBugRecord(bio::Reader &in, BugRecord &record)
 {
-    // v1 snapshots predate the priv-transition / double-fetch attack
-    // classes and the two privilege trigger kinds; their enum bytes
-    // are bounded at the legacy counts.
-    const bool v2 = version >= bio::kTestCaseModelVersion;
-    const unsigned attack_bound =
-        v2 ? static_cast<unsigned>(core::AttackType::DoubleFetch) + 1
-           : static_cast<unsigned>(core::AttackType::Spectre) + 1;
-    const unsigned window_bound =
-        v2 ? core::kTriggerKinds : core::kLegacyTriggerKinds;
     core::BugReport &report = record.report;
-    if (!in.enumByte(report.attack, attack_bound, "bug.attack") ||
-        !in.enumByte(report.window, window_bound, "bug.window") ||
+    if (!in.enumByte(report.attack,
+                     static_cast<unsigned>(
+                         core::AttackType::DoubleFetch) +
+                         1,
+                     "bug.attack") ||
+        !in.enumByte(report.window, core::kTriggerKinds,
+                     "bug.window") ||
         !in.enumByte(report.channel,
                      static_cast<unsigned>(
                          core::LeakChannel::EncodedState) +
@@ -97,7 +93,7 @@ readBugRecord(bio::Reader &in, BugRecord &record, uint32_t version)
         !in.u64(record.hits, "bug.hits") ||
         !in.str(record.config, "bug.config") ||
         !in.str(record.variant, "bug.variant") ||
-        !bio::readTestCase(in, record.repro, version)) {
+        !bio::readTestCase(in, record.repro)) {
         return false;
     }
     record.worker = worker;
@@ -182,11 +178,12 @@ loadCheckpoint(std::istream &is, CampaignCheckpoint &out,
         in.fail("bad snapshot magic");
         return report(false);
     }
-    if (!in.u32(out.version, "version"))
+    uint32_t version = 0;
+    if (!in.u32(version, "version"))
         return report(false);
-    if (out.version < 1 || out.version > kSnapshotFormatVersion) {
+    if (version != kSnapshotFormatVersion) {
         in.fail("unsupported snapshot version " +
-                std::to_string(out.version));
+                std::to_string(version));
         return report(false);
     }
     if (!in.u64(out.master_seed, "master_seed") ||
@@ -298,7 +295,7 @@ loadCheckpoint(std::istream &is, CampaignCheckpoint &out,
         }
         for (uint32_t i = 0; i < pending_count; ++i) {
             core::TestCase tc;
-            if (!bio::readTestCase(in, tc, out.version))
+            if (!bio::readTestCase(in, tc))
                 return report(false);
             shard.pending_inject.push_back(std::move(tc));
         }
@@ -312,7 +309,7 @@ loadCheckpoint(std::istream &is, CampaignCheckpoint &out,
     std::set<std::string> seen_keys;
     for (uint32_t i = 0; i < ledger_count; ++i) {
         BugRecord record;
-        if (!readBugRecord(in, record, out.version))
+        if (!readBugRecord(in, record))
             return report(false);
         if (!seen_keys.insert(record.report.key()).second) {
             in.fail("duplicate ledger signature " +

@@ -40,7 +40,7 @@ constexpr unsigned kTriggerKinds =
     static_cast<unsigned>(TriggerKind::kCount);
 
 /** Number of trigger kinds before the privilege-transition pair was
- *  added (the v1 corpus/snapshot bound and the legacy mask width). */
+ *  added: the width of the legacy same-domain trigger mask. */
 constexpr unsigned kLegacyTriggerKinds = 8;
 
 constexpr uint32_t

@@ -146,8 +146,9 @@ main(int argc, char **argv)
             }
             char *end = nullptr;
             threshold = std::strtod(argv[++i], &end);
-            if (!end || *end != '\0' || threshold < 0.0 ||
-                threshold > 1.0) {
+            // The negated range test also rejects nan.
+            if (!end || *end != '\0' ||
+                !(threshold >= 0.0 && threshold <= 1.0)) {
                 std::fprintf(stderr,
                              "--threshold must be in [0, 1]\n");
                 return 2;

@@ -27,9 +27,9 @@ class Fields
     }
 
     void
-    u64(const char *key, uint64_t &out, bool required = true)
+    u64(const char *key, uint64_t &out)
     {
-        const JsonValue *value = find(key, required);
+        const JsonValue *value = find(key);
         if (!value)
             return;
         // Parse from the literal token, not the double: counters
@@ -54,9 +54,9 @@ class Fields
     }
 
     void
-    f64(const char *key, double &out, bool required = true)
+    f64(const char *key, double &out)
     {
-        const JsonValue *value = find(key, required);
+        const JsonValue *value = find(key);
         if (!value)
             return;
         if (!value->isNumber() || value->number < 0.0 ||
@@ -69,9 +69,9 @@ class Fields
     }
 
     void
-    str(const char *key, std::string &out, bool required = true)
+    str(const char *key, std::string &out)
     {
-        const JsonValue *value = find(key, required);
+        const JsonValue *value = find(key);
         if (!value)
             return;
         if (!value->isString()) {
@@ -84,14 +84,13 @@ class Fields
 
   private:
     const JsonValue *
-    find(const char *key, bool required)
+    find(const char *key)
     {
         if (!ok())
             return nullptr;
         auto it = obj_.find(key);
         if (it == obj_.end()) {
-            if (required)
-                set(std::string("missing field \"") + key + "\"");
+            set(std::string("missing field \"") + key + "\"");
             return nullptr;
         }
         return &it->second;
@@ -213,10 +212,8 @@ parseCampaignLog(std::istream &is, const std::string &name,
             fields.u64("coverage_points", row.coverage_points);
             fields.u64("distinct_bugs", row.distinct_bugs);
             fields.u64("corpus_size", row.corpus_size);
-            fields.u64("batches_stolen", row.batches_stolen,
-                       /*required=*/false);
-            fields.u64("steal_idle_ns", row.steal_idle_ns,
-                       /*required=*/false);
+            fields.u64("batches_stolen", row.batches_stolen);
+            fields.u64("steal_idle_ns", row.steal_idle_ns);
             fields.f64("wall_seconds", row.wall_seconds);
             if (!fields.ok())
                 return fail(field_error);
@@ -228,8 +225,8 @@ parseCampaignLog(std::istream &is, const std::string &name,
             fields.u64("worker", row.worker);
             fields.u64("epoch", row.epoch);
             fields.u64("iteration", row.iteration);
-            fields.str("config", row.config, /*required=*/false);
-            fields.str("variant", row.variant, /*required=*/false);
+            fields.str("config", row.config);
+            fields.str("variant", row.variant);
             fields.u64("hits", row.hits);
             if (!fields.ok())
                 return fail(field_error);
@@ -251,10 +248,8 @@ parseCampaignLog(std::istream &is, const std::string &name,
                            row.hist_count[i]);
                 fields.u64((name + "_sum").c_str(), row.hist_sum[i]);
             }
-            fields.u64("batch_p50_ns", row.batch_p50_ns,
-                       /*required=*/false);
-            fields.u64("batch_p99_ns", row.batch_p99_ns,
-                       /*required=*/false);
+            fields.u64("batch_p50_ns", row.batch_p50_ns);
+            fields.u64("batch_p99_ns", row.batch_p99_ns);
             if (!fields.ok())
                 return fail(field_error);
             out.heartbeats.push_back(row);
@@ -263,8 +258,7 @@ parseCampaignLog(std::istream &is, const std::string &name,
             fields.u64("workers", row.workers);
             fields.str("policy", row.policy);
             fields.u64("master_seed", row.master_seed);
-            fields.str("templates", row.templates,
-                       /*required=*/false);
+            fields.str("templates", row.templates);
             fields.u64("iterations", row.iterations);
             fields.u64("simulations", row.simulations);
             fields.u64("windows", row.windows);
@@ -273,35 +267,23 @@ parseCampaignLog(std::istream &is, const std::string &name,
             fields.u64("total_reports", row.total_reports);
             fields.u64("epochs", row.epochs);
             fields.u64("corpus_size", row.corpus_size);
-            fields.u64("corpus_preloaded", row.corpus_preloaded,
-                       /*required=*/false);
-            fields.u64("corpus_minimized", row.corpus_minimized,
-                       /*required=*/false);
-            fields.u64("coverage_preloaded", row.coverage_preloaded,
-                       /*required=*/false);
-            fields.u64("bugs_restored", row.bugs_restored,
-                       /*required=*/false);
-            fields.u64("reports_restored", row.reports_restored,
-                       /*required=*/false);
+            fields.u64("corpus_preloaded", row.corpus_preloaded);
+            fields.u64("corpus_minimized", row.corpus_minimized);
+            fields.u64("coverage_preloaded", row.coverage_preloaded);
+            fields.u64("bugs_restored", row.bugs_restored);
+            fields.u64("reports_restored", row.reports_restored);
             fields.u64("steals", row.steals);
-            fields.str("sched", row.sched, /*required=*/false);
-            fields.u64("batch", row.batch, /*required=*/false);
-            fields.u64("batches", row.batches, /*required=*/false);
-            fields.u64("batches_stolen", row.batches_stolen,
-                       /*required=*/false);
-            fields.u64("batch_retries", row.batch_retries,
-                       /*required=*/false);
+            fields.str("sched", row.sched);
+            fields.u64("batch", row.batch);
+            fields.u64("batches", row.batches);
+            fields.u64("batches_stolen", row.batches_stolen);
+            fields.u64("batch_retries", row.batch_retries);
             fields.u64("batch_deadline_kills",
-                       row.batch_deadline_kills,
-                       /*required=*/false);
-            fields.u64("batches_failed", row.batches_failed,
-                       /*required=*/false);
-            fields.u64("quarantined_seeds", row.quarantined_seeds,
-                       /*required=*/false);
-            fields.u64("kinds_disabled", row.kinds_disabled,
-                       /*required=*/false);
-            fields.u64("steal_idle_ns", row.steal_idle_ns,
-                       /*required=*/false);
+                       row.batch_deadline_kills);
+            fields.u64("batches_failed", row.batches_failed);
+            fields.u64("quarantined_seeds", row.quarantined_seeds);
+            fields.u64("kinds_disabled", row.kinds_disabled);
+            fields.u64("steal_idle_ns", row.steal_idle_ns);
             fields.f64("wall_seconds", row.wall_seconds);
             fields.f64("iters_per_sec", row.iters_per_sec);
             if (!fields.ok())
@@ -392,9 +374,7 @@ validateCampaignLog(const CampaignLog &log)
     check(hits == s.total_reports,
           "bug hits do not sum to summary.total_reports");
 
-    // Logs from schema revisions predating the epoch record type
-    // carry none at all; only a *partial* epoch series is corrupt.
-    check(log.epochs.empty() || log.epochs.size() == s.epochs,
+    check(log.epochs.size() == s.epochs,
           "epoch record count does not match summary.epochs");
     for (size_t i = 0; i < log.epochs.size(); ++i) {
         if (log.epochs[i].epoch != i) {
@@ -419,13 +399,13 @@ validateCampaignLog(const CampaignLog &log)
           "batches");
     check(s.kinds_disabled <= s.workers,
           "summary.kinds_disabled exceeds summary.workers");
+    uint64_t stolen = 0;
+    for (const auto &row : log.epochs)
+        stolen += row.batches_stolen;
+    check(stolen == s.batches_stolen,
+          "per-epoch batches_stolen do not sum to "
+          "summary.batches_stolen");
     if (!log.epochs.empty()) {
-        uint64_t stolen = 0;
-        for (const auto &row : log.epochs)
-            stolen += row.batches_stolen;
-        check(stolen == s.batches_stolen,
-              "per-epoch batches_stolen do not sum to "
-              "summary.batches_stolen");
         const EpochRow &last = log.epochs.back();
         check(last.iterations == s.iterations,
               "final epoch iterations do not match "

@@ -5,6 +5,8 @@
  * parseCampaignLog() reads one log emitted by `dejavuzz` (schema:
  * docs/campaign-format.md) into a CampaignLog, rejecting unknown
  * record types, missing or mistyped fields, and negative counters.
+ * Every field the writer emits is required; only the `trailer`
+ * record is optional, because plain `--out` logs carry none.
  * validateCampaignLog() then cross-checks the invariants that make a
  * log internally consistent — per-worker sums matching summary
  * totals, bug hit counts matching report totals, epoch records
@@ -57,8 +59,8 @@ struct EpochRow
     uint64_t coverage_points = 0;
     uint64_t distinct_bugs = 0;
     uint64_t corpus_size = 0;
-    uint64_t batches_stolen = 0; ///< optional; 0 for older logs
-    uint64_t steal_idle_ns = 0;  ///< optional; 0 for older logs
+    uint64_t batches_stolen = 0;
+    uint64_t steal_idle_ns = 0;
     double wall_seconds = 0.0;
 };
 
@@ -70,8 +72,8 @@ struct BugRow
     uint64_t worker = 0;
     uint64_t epoch = 0;
     uint64_t iteration = 0;
-    std::string config;  ///< optional; empty for older logs
-    std::string variant; ///< optional; empty for older logs
+    std::string config;
+    std::string variant;
     uint64_t hits = 0;
 };
 
@@ -92,8 +94,8 @@ struct HeartbeatRow
     std::array<uint64_t, obs::kNumGauges> gauges{};
     std::array<uint64_t, obs::kNumHists> hist_count{};
     std::array<uint64_t, obs::kNumHists> hist_sum{};
-    uint64_t batch_p50_ns = 0; ///< optional; 0 for older logs
-    uint64_t batch_p99_ns = 0; ///< optional; 0 for older logs
+    uint64_t batch_p50_ns = 0;
+    uint64_t batch_p99_ns = 0;
 
     uint64_t counter(obs::Ctr c) const
     {
@@ -115,7 +117,7 @@ struct SummaryRow
     uint64_t workers = 0;
     std::string policy;
     uint64_t master_seed = 0;
-    std::string templates; ///< optional; empty for older logs
+    std::string templates;
     uint64_t iterations = 0;
     uint64_t simulations = 0;
     uint64_t windows = 0;
@@ -124,21 +126,21 @@ struct SummaryRow
     uint64_t total_reports = 0;
     uint64_t epochs = 0;
     uint64_t corpus_size = 0;
-    uint64_t corpus_preloaded = 0; ///< optional; 0 for older logs
-    /** Campaign-directory fields; optional, 0 for older logs. */
+    uint64_t corpus_preloaded = 0;
+    /** Campaign-directory fields. */
     uint64_t corpus_minimized = 0;   ///< entries dropped by --minimize
     uint64_t coverage_preloaded = 0; ///< points restored from snapshot
     uint64_t bugs_restored = 0;      ///< distinct records restored
     uint64_t reports_restored = 0;   ///< restored bug hits (excluded
                                      ///< from per-worker sums)
     uint64_t steals = 0;
-    /** Scheduler fields; optional, absent in pre-scheduler logs. */
-    std::string sched;             ///< "steal" | "barrier" | ""
+    /** Scheduler fields. */
+    std::string sched;             ///< "steal" | "barrier"
     uint64_t batch = 0;            ///< iterations per batch
     uint64_t batches = 0;          ///< batches executed
     uint64_t batches_stolen = 0;   ///< executed by a non-owner
     uint64_t steal_idle_ns = 0;    ///< Σ per-thread barrier idle
-    /** Robustness fields; optional, 0 for pre-watchdog logs. */
+    /** Robustness fields. */
     uint64_t batch_retries = 0;       ///< extra attempts after failure
     uint64_t batch_deadline_kills = 0;///< attempts killed by watchdog
     uint64_t batches_failed = 0;      ///< batches that exhausted retries

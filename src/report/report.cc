@@ -90,9 +90,9 @@ ReportTable
 schedulerTable(const std::vector<CampaignLog> &logs)
 {
     // Scheduler occupancy: how much of the fleet's time the
-    // work-stealing scheduler kept busy. Pre-scheduler logs carry no
-    // batch fields and contribute no rows (an all-empty table is
-    // skipped by the renderers).
+    // work-stealing scheduler kept busy. Campaigns that ran no batch
+    // contribute no rows (an all-empty table is skipped by the
+    // renderers).
     ReportTable table;
     table.title = "Scheduler occupancy";
     table.header = {"campaign", "sched", "batch", "batches",
@@ -114,7 +114,7 @@ schedulerTable(const std::vector<CampaignLog> &logs)
                           static_cast<double>(s.batches_stolen) /
                           static_cast<double>(s.batches));
         table.rows.push_back(
-            {log.name, s.sched.empty() ? "?" : s.sched,
+            {log.name, s.sched,
              fmtU64(s.batch), fmtU64(s.batches),
              fmtU64(s.batches_stolen), pct, fmtF64(idle_s),
              fmtF64(per_worker)});

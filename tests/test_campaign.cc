@@ -243,7 +243,6 @@ TEST(CorpusIo, SaveLoadRoundTripsEveryField)
     std::string error;
     ASSERT_TRUE(SharedCorpus::loadFrom(file, loaded, &error))
         << error;
-    EXPECT_EQ(loaded.version, SharedCorpus::kFormatVersion);
     EXPECT_EQ(loaded.master_seed, 77u);
     ASSERT_EQ(loaded.entries.size(), 2u);
 
@@ -346,10 +345,12 @@ asV1Image(std::string bytes)
     return bytes;
 }
 
-TEST(CorpusIo, V1FilesLoadWithImplicitSameDomainModel)
+TEST(CorpusIo, RejectsV1Files)
 {
+    // Readers accept exactly the version the writer emits: a v1
+    // image is refused by name, not decoded with guessed defaults.
     SharedCorpus corpus(1, 4);
-    corpus.offer(syntheticEntry(3, 0, 0)); // nontrivial v2 model
+    corpus.offer(syntheticEntry(3, 0, 0));
     std::stringstream v2_file;
     ASSERT_TRUE(corpus.saveTo(v2_file, 5));
 
@@ -357,44 +358,9 @@ TEST(CorpusIo, V1FilesLoadWithImplicitSameDomainModel)
                               std::ios::in | std::ios::binary);
     campaign::CorpusFile loaded;
     std::string error;
-    ASSERT_TRUE(SharedCorpus::loadFrom(v1_file, loaded, &error))
-        << error;
-    EXPECT_EQ(loaded.version, 1u);
-    ASSERT_EQ(loaded.entries.size(), 1u);
-
-    // Every v1 field survives; the model is the implicit default.
-    const core::TestCase &tc = loaded.entries[0].tc;
-    EXPECT_EQ(tc.seed.trigger, core::TriggerKind::ReturnMispredict);
-    EXPECT_EQ(tc.seed.model.tmpl, core::AttackTemplate::SameDomain);
-    EXPECT_FALSE(tc.seed.model.supervisor_victim);
-    EXPECT_FALSE(tc.schedule.victim_supervisor);
-    EXPECT_FALSE(tc.schedule.double_fetch);
-}
-
-TEST(CorpusIo, V1RejectsPostLegacyTriggerKinds)
-{
-    // A v1 image can only have been written by a build with eight
-    // trigger kinds: a higher ordinal is corruption, not history.
-    SharedCorpus corpus(1, 4);
-    CorpusEntry entry = syntheticEntry(3, 0, 0);
-    entry.tc.seed.trigger = core::TriggerKind::PrivEcall;
-    corpus.offer(entry);
-    std::stringstream v2_file;
-    ASSERT_TRUE(corpus.saveTo(v2_file, 5));
-
-    // The same bytes load fine as v2...
-    std::stringstream v2_copy(v2_file.str(),
-                              std::ios::in | std::ios::binary);
-    campaign::CorpusFile loaded;
-    std::string error;
-    ASSERT_TRUE(SharedCorpus::loadFrom(v2_copy, loaded, &error))
-        << error;
-
-    // ...and fail as v1 at the trigger bound.
-    std::stringstream v1_file(asV1Image(v2_file.str()),
-                              std::ios::in | std::ios::binary);
     EXPECT_FALSE(SharedCorpus::loadFrom(v1_file, loaded, &error));
-    EXPECT_NE(error.find("seed.trigger"), std::string::npos)
+    EXPECT_NE(error.find("unsupported corpus version 1"),
+              std::string::npos)
         << error;
 }
 
@@ -1240,8 +1206,8 @@ TEST(Campaign, MinimizePreservesCoverageUnion)
 TEST(CampaignDir, MetaRoundTripsAndDetectsMismatches)
 {
     CampaignOptions options = smallCampaign(2, 750);
-    const campaign::CampaignMeta meta =
-        campaign::metaFromOptions(options);
+    campaign::CampaignMeta meta = campaign::metaFromOptions(options);
+    meta.generation = 1; // as saveCampaignDir's first save writes it
 
     std::stringstream file;
     campaign::writeMeta(file, meta);
@@ -1262,6 +1228,15 @@ TEST(CampaignDir, MetaRoundTripsAndDetectsMismatches)
     EXPECT_NE(mismatches[1].find("workers"), std::string::npos);
     EXPECT_NE(mismatches[2].find("batch"), std::string::npos);
 
+    // An older saved format is a mismatch, not an upgrade path.
+    campaign::CampaignMeta stale = loaded;
+    stale.corpus_version = 1;
+    stale.snapshot_version = 1;
+    const auto old_formats = campaign::metaMismatches(stale, meta);
+    ASSERT_EQ(old_formats.size(), 2u);
+    EXPECT_EQ(old_formats[0], "corpus_version: saved 1, current 2");
+    EXPECT_EQ(old_formats[1], "snapshot_version: saved 1, current 2");
+
     // Garbage meta fails cleanly.
     std::stringstream bad("{\"meta_version\":1}");
     EXPECT_FALSE(campaign::readMeta(bad, loaded, &error));
@@ -1275,8 +1250,11 @@ TEST(CampaignDir, MetaCarriesTheTemplateMask)
         core::modelBit(core::AttackTemplate::PrivTransition) |
         core::modelBit(core::AttackTemplate::DoubleFetch);
 
+    campaign::CampaignMeta meta = campaign::metaFromOptions(options);
+    meta.generation = 1;
     std::stringstream file;
-    campaign::writeMeta(file, campaign::metaFromOptions(options));
+    campaign::writeMeta(file, meta);
+    const std::string line = file.str();
     campaign::CampaignMeta loaded;
     std::string error;
     ASSERT_TRUE(campaign::readMeta(file, loaded, &error)) << error;
@@ -1293,22 +1271,47 @@ TEST(CampaignDir, MetaCarriesTheTemplateMask)
               std::string::npos);
     EXPECT_NE(mismatches[0].find("same-domain"), std::string::npos);
 
-    // Pre-attack-model meta.json files carry no templates field and
-    // imply the legacy single model.
-    std::string line;
-    {
-        std::stringstream again;
-        campaign::writeMeta(again,
-                            campaign::metaFromOptions(options));
-        line = again.str();
-    }
+    // A meta.json without the templates field is refused, not read
+    // as the legacy single model.
     const std::string field = ",\"templates\":12";
     const size_t at = line.find(field);
     ASSERT_NE(at, std::string::npos);
-    line.erase(at, field.size());
-    std::stringstream legacy(line);
-    ASSERT_TRUE(campaign::readMeta(legacy, loaded, &error)) << error;
-    EXPECT_EQ(loaded.model_mask, core::kLegacyModelMask);
+    std::stringstream legacy(std::string(line).erase(at, field.size()));
+    EXPECT_FALSE(campaign::readMeta(legacy, loaded, &error));
+    EXPECT_NE(error.find("missing field \"templates\""),
+              std::string::npos)
+        << error;
+}
+
+TEST(CampaignDir, MetaRequiresANonZeroGeneration)
+{
+    campaign::CampaignMeta meta =
+        campaign::metaFromOptions(smallCampaign(2, 750));
+    meta.generation = 1;
+    std::stringstream file;
+    campaign::writeMeta(file, meta);
+    std::string line = file.str();
+    const std::string field = ",\"generation\":1";
+    const size_t at = line.find(field);
+    ASSERT_NE(at, std::string::npos);
+    campaign::CampaignMeta loaded;
+    std::string error;
+
+    // No generation field: a directory from before save generations,
+    // whose artifacts carry no trailers.
+    std::stringstream missing(std::string(line).erase(at, field.size()));
+    EXPECT_FALSE(campaign::readMeta(missing, loaded, &error));
+    EXPECT_NE(error.find("missing field \"generation\""),
+              std::string::npos)
+        << error;
+
+    // Generation 0 is never written: every save writes at least 1.
+    std::stringstream zero(line.replace(at, field.size(),
+                                        ",\"generation\":0"));
+    EXPECT_FALSE(campaign::readMeta(zero, loaded, &error));
+    EXPECT_NE(error.find("\"generation\" must be at least 1"),
+              std::string::npos)
+        << error;
 }
 
 TEST(CampaignDir, SaveLoadRoundTrip)
@@ -1340,6 +1343,67 @@ TEST(CampaignDir, SaveLoadRoundTrip)
     EXPECT_EQ(loaded.checkpoint.iterations_done, 750u);
     EXPECT_EQ(loaded.checkpoint.ledger.size(),
               orchestrator.ledger().distinct());
+
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignDir, RefusesTrailerLessDirectories)
+{
+    // The layout from before save generations: raw artifacts, a log
+    // without a trailer record and a meta.json without a generation.
+    // Nothing vouches for those bytes, so the loader refuses them.
+    const std::string dir =
+        (std::filesystem::path(::testing::TempDir()) /
+         "dvz_campaign_dir_raw")
+            .string();
+    std::filesystem::remove_all(dir);
+    CampaignOptions options = smallCampaign(2, 750);
+    CampaignOrchestrator orchestrator(options);
+    orchestrator.run();
+    std::string error;
+    ASSERT_TRUE(campaign::saveCampaignDir(dir, orchestrator, options,
+                                          &error))
+        << error;
+
+    const campaign::CampaignDirPaths paths =
+        campaign::campaignDirPaths(dir);
+    for (const std::string &path : {paths.corpus, paths.snapshot}) {
+        std::string file, payload;
+        uint64_t gen = 0;
+        ASSERT_TRUE(campaign::readWholeFile(path, file));
+        ASSERT_TRUE(campaign::splitTrailer(file, payload, gen));
+        ASSERT_TRUE(campaign::atomicWriteFile(path, payload));
+    }
+    std::string log;
+    ASSERT_TRUE(campaign::readWholeFile(paths.log, log));
+    const size_t cut = log.rfind("{\"type\":\"trailer\"");
+    ASSERT_NE(cut, std::string::npos);
+    ASSERT_TRUE(campaign::atomicWriteFile(paths.log, log.substr(0, cut)));
+    std::string meta;
+    ASSERT_TRUE(campaign::readWholeFile(paths.meta, meta));
+    const std::string field = ",\"generation\":1";
+    const size_t at = meta.find(field);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_TRUE(campaign::atomicWriteFile(
+        paths.meta, std::string(meta).erase(at, field.size())));
+
+    campaign::LoadedCampaignDir loaded;
+    EXPECT_FALSE(campaign::loadCampaignDir(dir, loaded, &error));
+    EXPECT_NE(error.find("missing field \"generation\""),
+              std::string::npos)
+        << error;
+    campaign::CampaignMeta snap_meta;
+    campaign::CampaignCheckpoint checkpoint;
+    EXPECT_FALSE(campaign::loadCampaignSnapshot(dir, snap_meta,
+                                                checkpoint, &error));
+
+    // A meta.json that does name a generation cannot vouch for
+    // artifacts without trailers either.
+    ASSERT_TRUE(campaign::atomicWriteFile(paths.meta, meta));
+    EXPECT_FALSE(campaign::loadCampaignDir(dir, loaded, &error));
+    EXPECT_NE(error.find("no complete save generation"),
+              std::string::npos)
+        << error;
 
     std::filesystem::remove_all(dir);
 }
@@ -1586,6 +1650,29 @@ TEST(Snapshot, CheckpointSurvivesBinaryRoundTripExactly)
         EXPECT_EQ(campaign::hashTestCase(loaded.ledger[b].repro),
                   campaign::hashTestCase(original.ledger[b].repro));
     }
+}
+
+TEST(Snapshot, RejectsV1Files)
+{
+    // With no test cases embedded (no pending seeds, empty ledger), a
+    // v1 snapshot differs from v2 only in the version field after the
+    // 8-byte magic. The loader must refuse it by name.
+    campaign::CampaignCheckpoint cp;
+    cp.master_seed = 5;
+    cp.steal_rng = {1, 2, 3, 4};
+    std::stringstream v2_file;
+    ASSERT_TRUE(campaign::saveCheckpoint(v2_file, cp));
+    std::string bytes = v2_file.str();
+    bytes[8] = 1;
+    bytes[9] = bytes[10] = bytes[11] = 0;
+
+    std::stringstream v1_file(bytes, std::ios::in | std::ios::binary);
+    campaign::CampaignCheckpoint loaded;
+    std::string error;
+    EXPECT_FALSE(campaign::loadCheckpoint(v1_file, loaded, &error));
+    EXPECT_NE(error.find("unsupported snapshot version 1"),
+              std::string::npos)
+        << error;
 }
 
 TEST(Campaign, SingleWorkerResumeInjectsSavedSeeds)

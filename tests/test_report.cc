@@ -94,6 +94,21 @@ TEST(JsonParser, KeepsFullIntegerPrecision)
 
 // --- Campaign log round-trip --------------------------------------------
 
+/** Every summary field after master_seed, with all counters zero. */
+const char kZeroSummaryTail[] =
+    "\"templates\":\"same-domain\",\"iterations\":0,"
+    "\"simulations\":0,\"windows\":0,\"coverage_points\":0,"
+    "\"distinct_bugs\":0,\"total_reports\":0,\"epochs\":0,"
+    "\"corpus_size\":0,\"corpus_preloaded\":0,"
+    "\"corpus_minimized\":0,\"coverage_preloaded\":0,"
+    "\"bugs_restored\":0,\"reports_restored\":0,"
+    "\"steals\":0,\"sched\":\"steal\",\"batch\":32,"
+    "\"batches\":0,\"batch_retries\":0,"
+    "\"batch_deadline_kills\":0,\"batches_failed\":0,"
+    "\"quarantined_seeds\":0,\"kinds_disabled\":0,"
+    "\"batches_stolen\":0,\"steal_idle_ns\":0,"
+    "\"wall_seconds\":0.0,\"iters_per_sec\":0.0}\n";
+
 CampaignOptions
 tinyCampaign(unsigned workers, uint64_t iters, uint64_t seed)
 {
@@ -300,7 +315,8 @@ TEST(CampaignLogRoundTrip, ParserRejectsBrokenLogs)
     std::stringstream no_summary(
         "{\"type\":\"epoch\",\"epoch\":0,\"iterations\":1,"
         "\"coverage_points\":1,\"distinct_bugs\":0,"
-        "\"corpus_size\":0,\"wall_seconds\":0.1}\n");
+        "\"corpus_size\":0,\"batches_stolen\":0,"
+        "\"steal_idle_ns\":0,\"wall_seconds\":0.1}\n");
     EXPECT_FALSE(report::parseCampaignLog(no_summary, "bad", log,
                                           &error));
     EXPECT_NE(error.find("summary"), std::string::npos) << error;
@@ -311,11 +327,8 @@ TEST(CampaignLogRoundTrip, PreservesFullRangeMasterSeed)
     std::stringstream log_text(
         "{\"type\":\"summary\",\"workers\":0,"
         "\"policy\":\"replicas\","
-        "\"master_seed\":18446744073709551615,\"iterations\":0,"
-        "\"simulations\":0,\"windows\":0,\"coverage_points\":0,"
-        "\"distinct_bugs\":0,\"total_reports\":0,\"epochs\":0,"
-        "\"corpus_size\":0,\"steals\":0,\"wall_seconds\":0.0,"
-        "\"iters_per_sec\":0.0}\n");
+        "\"master_seed\":18446744073709551615," +
+        std::string(kZeroSummaryTail));
     CampaignLog log;
     std::string error;
     ASSERT_TRUE(report::parseCampaignLog(log_text, "big", log,
@@ -325,13 +338,17 @@ TEST(CampaignLogRoundTrip, PreservesFullRangeMasterSeed)
               18446744073709551615ULL);
 }
 
-TEST(CampaignLogRoundTrip, AcceptsLegacyLogsWithoutEpochRecords)
+TEST(CampaignLogRoundTrip, RejectsLogsWithoutEpochRecords)
 {
-    // Pre-epoch-record logs state epochs in the summary but carry
-    // no epoch lines; the validator must not reject them.
+    // Every counted epoch writes an epoch record, so a log whose
+    // summary states epochs but carries no epoch lines is corrupt.
     CampaignLog log = runAndParse(tinyCampaign(1, 250, 5), "old");
+    ASSERT_GT(log.summary.epochs, 0u);
     log.epochs.clear();
-    EXPECT_TRUE(validateCampaignLog(log).empty());
+    const std::vector<std::string> problems = validateCampaignLog(log);
+    ASSERT_FALSE(problems.empty());
+    EXPECT_EQ(problems[0],
+              "epoch record count does not match summary.epochs");
 }
 
 TEST(CampaignLogRoundTrip, SchedulerFieldsRoundTrip)
@@ -362,34 +379,73 @@ TEST(CampaignLogRoundTrip, ValidatorCatchesStolenBatchMismatch)
     EXPECT_FALSE(validateCampaignLog(log).empty());
 }
 
-TEST(CampaignLogRoundTrip, AcceptsLegacyLogsWithoutSchedulerFields)
+/** @p log without field @p key of its first @p type record. */
+std::string
+withoutField(const std::string &log, const std::string &type,
+             const std::string &key)
 {
-    // Pre-scheduler epoch and summary records carry none of the
-    // batch fields; they must parse with zero defaults and validate.
-    std::stringstream log_text(
-        "{\"type\":\"worker\",\"worker\":0,\"config\":\"c\","
-        "\"variant\":\"full\",\"iterations\":1,\"simulations\":1,"
-        "\"windows\":0,\"coverage_points\":0,\"seeds_imported\":0,"
-        "\"bugs\":0,\"active_seconds\":0.1}\n"
-        "{\"type\":\"epoch\",\"epoch\":0,\"iterations\":1,"
-        "\"coverage_points\":0,\"distinct_bugs\":0,"
-        "\"corpus_size\":0,\"wall_seconds\":0.1}\n"
-        "{\"type\":\"summary\",\"workers\":1,"
-        "\"policy\":\"replicas\",\"master_seed\":1,"
-        "\"iterations\":1,\"simulations\":1,\"windows\":0,"
-        "\"coverage_points\":0,\"distinct_bugs\":0,"
-        "\"total_reports\":0,\"epochs\":1,\"corpus_size\":0,"
-        "\"steals\":0,\"wall_seconds\":0.1,"
-        "\"iters_per_sec\":10.0}\n");
+    const size_t line = log.find("{\"type\":\"" + type + "\"");
+    EXPECT_NE(line, std::string::npos) << "no " << type << " record";
+    const size_t at = log.find(",\"" + key + "\":", line);
+    EXPECT_LT(at, log.find('\n', line)) << type << " lacks " << key;
+    size_t end = at + key.size() + 4; // past ,"key":
+    end = log[end] == '"' ? log.find('"', end + 1) + 1
+                          : log.find_first_of(",}", end);
+    return log.substr(0, at) + log.substr(end);
+}
+
+TEST(CampaignLogRoundTrip, RejectsLogsMissingAnyEmittedField)
+{
+    // The fields older writers left out are required like every
+    // other: a log without one is refused, not read with defaults.
+    CampaignOptions options = tinyCampaign(2, 750, 7);
+    options.heartbeat_sec = 60.0; // only the final heartbeat record
+    CampaignOrchestrator orchestrator(options);
+    orchestrator.run();
+    std::stringstream jsonl;
+    orchestrator.writeJsonlWithHeartbeats(jsonl);
+    const std::string text = jsonl.str();
+
     CampaignLog log;
     std::string error;
-    ASSERT_TRUE(report::parseCampaignLog(log_text, "legacy", log,
-                                         &error))
-        << error;
-    EXPECT_EQ(log.summary.sched, "");
-    EXPECT_EQ(log.summary.batches, 0u);
-    EXPECT_EQ(log.epochs.at(0).batches_stolen, 0u);
-    EXPECT_TRUE(validateCampaignLog(log).empty());
+    {
+        std::istringstream is(text);
+        ASSERT_TRUE(report::parseCampaignLog(is, "full", log, &error))
+            << error;
+    }
+    const std::pair<const char *, const char *> fields[] = {
+        {"epoch", "batches_stolen"},
+        {"epoch", "steal_idle_ns"},
+        {"bug", "config"},
+        {"bug", "variant"},
+        {"heartbeat", "batch_p50_ns"},
+        {"heartbeat", "batch_p99_ns"},
+        {"summary", "templates"},
+        {"summary", "corpus_preloaded"},
+        {"summary", "corpus_minimized"},
+        {"summary", "coverage_preloaded"},
+        {"summary", "bugs_restored"},
+        {"summary", "reports_restored"},
+        {"summary", "sched"},
+        {"summary", "batch"},
+        {"summary", "batches"},
+        {"summary", "batches_stolen"},
+        {"summary", "batch_retries"},
+        {"summary", "batch_deadline_kills"},
+        {"summary", "batches_failed"},
+        {"summary", "quarantined_seeds"},
+        {"summary", "kinds_disabled"},
+        {"summary", "steal_idle_ns"},
+    };
+    for (const auto &[type, key] : fields) {
+        std::istringstream is(withoutField(text, type, key));
+        EXPECT_FALSE(report::parseCampaignLog(is, "cut", log, &error))
+            << type << " without " << key;
+        EXPECT_NE(error.find(std::string("missing field \"") + key +
+                             "\""),
+                  std::string::npos)
+            << error;
+    }
 }
 
 // --- Heartbeat records --------------------------------------------------
@@ -444,12 +500,8 @@ syntheticHeartbeatLog(uint64_t seq0, double wall0,
            "\"seeds_imported\":0,\"bugs\":0,"
            "\"active_seconds\":0.0}\n"
            "{\"type\":\"summary\",\"workers\":1,"
-           "\"policy\":\"replicas\",\"master_seed\":1,"
-           "\"iterations\":0,\"simulations\":0,\"windows\":0,"
-           "\"coverage_points\":0,\"distinct_bugs\":0,"
-           "\"total_reports\":0,\"epochs\":0,\"corpus_size\":0,"
-           "\"steals\":0,\"wall_seconds\":0.0,"
-           "\"iters_per_sec\":0.0}\n";
+           "\"policy\":\"replicas\",\"master_seed\":1," +
+           kZeroSummaryTail;
 }
 
 std::vector<std::string>

@@ -73,23 +73,6 @@ metaStr(const report::JsonObject &obj, const char *key,
     return true;
 }
 
-bool
-metaBool(const report::JsonObject &obj, const char *key, bool &out,
-         std::string &error)
-{
-    if (!error.empty())
-        return false;
-    auto it = obj.find(key);
-    if (it == obj.end() ||
-        it->second.kind != report::JsonValue::Kind::Bool) {
-        error = std::string("meta.json: missing boolean field \"") +
-                key + "\"";
-        return false;
-    }
-    out = it->second.boolean;
-    return true;
-}
-
 void
 mismatch(std::vector<std::string> &out, const char *field,
          const std::string &saved, const std::string &current)
@@ -161,12 +144,8 @@ metaFromOptions(const CampaignOptions &options)
     meta.core = options.base_config.name;
     meta.epoch_iterations = options.epoch_iterations;
     meta.batch_iterations = options.batch_iterations;
-    meta.steal_batches = options.steal_batches;
-    meta.steals_per_epoch = options.steals_per_epoch;
     uint32_t mask = options.fuzzer.model_mask & core::kAllModelMask;
     meta.model_mask = mask ? mask : core::kLegacyModelMask;
-    meta.corpus_shards = options.corpus_shards;
-    meta.corpus_shard_cap = options.corpus_shard_cap;
     return meta;
 }
 
@@ -182,11 +161,7 @@ writeMeta(std::ostream &os, const CampaignMeta &meta)
        << "\",\"core\":\"" << jsonEscape(meta.core)
        << "\",\"epoch\":" << meta.epoch_iterations
        << ",\"batch\":" << meta.batch_iterations
-       << ",\"steal\":" << (meta.steal_batches ? "true" : "false")
-       << ",\"steals\":" << meta.steals_per_epoch
        << ",\"templates\":" << meta.model_mask
-       << ",\"corpus_shards\":" << meta.corpus_shards
-       << ",\"corpus_cap\":" << meta.corpus_shard_cap
        << ",\"generation\":" << meta.generation << "}\n";
 }
 
@@ -228,11 +203,7 @@ readMeta(std::istream &is, CampaignMeta &out, std::string *error)
     metaStr(obj, "core", out.core, field_error);
     metaU64(obj, "epoch", out.epoch_iterations, field_error);
     metaU64(obj, "batch", out.batch_iterations, field_error);
-    metaBool(obj, "steal", out.steal_batches, field_error);
-    metaU64(obj, "steals", out.steals_per_epoch, field_error);
     metaU64(obj, "templates", out.model_mask, field_error);
-    metaU64(obj, "corpus_shards", out.corpus_shards, field_error);
-    metaU64(obj, "corpus_cap", out.corpus_shard_cap, field_error);
     metaU64(obj, "generation", out.generation, field_error);
     if (!field_error.empty())
         return fail(field_error);
@@ -266,10 +237,6 @@ metaMismatches(const CampaignMeta &saved, const CampaignMeta &current)
                 current.epoch_iterations);
     mismatchU64(out, "batch", saved.batch_iterations,
                 current.batch_iterations);
-    mismatch(out, "steal", saved.steal_batches ? "true" : "false",
-             current.steal_batches ? "true" : "false");
-    mismatchU64(out, "steals", saved.steals_per_epoch,
-                current.steals_per_epoch);
     // Compare as names: "templates: saved same-domain, current
     // same-domain,priv-transition" beats raw mask integers.
     mismatch(out, "templates",
@@ -277,10 +244,6 @@ metaMismatches(const CampaignMeta &saved, const CampaignMeta &current)
                  static_cast<uint32_t>(saved.model_mask)),
              core::modelMaskNames(
                  static_cast<uint32_t>(current.model_mask)));
-    mismatchU64(out, "corpus_shards", saved.corpus_shards,
-                current.corpus_shards);
-    mismatchU64(out, "corpus_cap", saved.corpus_shard_cap,
-                current.corpus_shard_cap);
     return out;
 }
 

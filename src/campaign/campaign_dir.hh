@@ -41,7 +41,7 @@ struct CampaignOptions;
 class CampaignOrchestrator;
 
 /** meta.json schema version written by writeMeta(). */
-constexpr uint32_t kMetaFormatVersion = 1;
+constexpr uint32_t kMetaFormatVersion = 2;
 
 /** File names inside a campaign directory. */
 struct CampaignDirPaths
@@ -77,12 +77,8 @@ struct CampaignMeta
     std::string core;   ///< base core config name
     uint64_t epoch_iterations = 0;
     uint64_t batch_iterations = 0;
-    bool steal_batches = true;
-    uint64_t steals_per_epoch = 0;
     /** Fleet-wide attack-template mask (`--templates`). */
     uint64_t model_mask = core::kLegacyModelMask;
-    uint64_t corpus_shards = 0;
-    uint64_t corpus_shard_cap = 0;
     /** Save-generation counter: incremented on every save (autosave
      *  or final), binding meta.json to the artifact trailers written
      *  with it. Not part of the campaign configuration — never

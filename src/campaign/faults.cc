@@ -1,10 +1,10 @@
 #include "campaign/faults.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 
 #include "obs/telemetry.hh"
+#include "util/parse.hh"
 #include "util/rng.hh"
 
 namespace dejavuzz::campaign {
@@ -46,16 +46,6 @@ Rng g_rng;
 uint64_t g_fired = 0;
 
 bool
-parseNumber(const std::string &text, double &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end && *end == '\0';
-}
-
-bool
 faultByName(const std::string &name, Fault &out)
 {
     for (unsigned i = 0; i < kNumFaults; ++i) {
@@ -84,7 +74,7 @@ armFaults(const std::string &spec, std::string *error)
         for (auto &point : g_points)
             point = FaultPoint{};
         if (error)
-            *error = "--inject-faults: " + msg;
+            *error = msg;
         return false;
     };
 
@@ -107,11 +97,8 @@ armFaults(const std::string &spec, std::string *error)
         std::string value = item.substr(eq + 1);
 
         if (key == "seed") {
-            double v = 0;
-            if (!parseNumber(value, v) || v < 0 ||
-                v != static_cast<uint64_t>(v))
+            if (!parseUint(value.c_str(), seed))
                 return fail("bad seed '" + value + "'");
-            seed = static_cast<uint64_t>(v);
             continue;
         }
 
@@ -124,14 +111,12 @@ armFaults(const std::string &spec, std::string *error)
         size_t colon = value.find(':');
         if (colon != std::string::npos) {
             prob_text = value.substr(0, colon);
-            double m = 0;
-            if (!parseNumber(value.substr(colon + 1), m) || m < 0 ||
-                m != static_cast<uint64_t>(m))
+            if (!parseUint(value.substr(colon + 1).c_str(), max_fires))
                 return fail("bad max count in '" + item + "'");
-            max_fires = static_cast<uint64_t>(m);
         }
         double prob = 0;
-        if (!parseNumber(prob_text, prob) || prob < 0.0 || prob > 1.0)
+        if (!parseDouble(prob_text.c_str(), prob) || prob < 0.0 ||
+            prob > 1.0)
             return fail("probability outside [0,1] in '" + item +
                         "'");
 

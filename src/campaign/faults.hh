@@ -18,9 +18,11 @@
  *   seed=S,KIND=P[:MAX],...
  *
  * where KIND is one of `batch-throw`, `batch-hang`, `short-write`,
- * `torn-rename`, `enospc`; P is the firing probability in [0, 1];
- * and the optional :MAX caps the total number of firings (so CI can
- * arm `enospc=1:2` and know exactly two writes fail).
+ * `torn-rename`, `enospc`; P is the firing probability, a finite
+ * number in [0, 1]; and the optional :MAX caps the total number of
+ * firings (so CI can arm `enospc=1:2` and know exactly two writes
+ * fail). S and MAX are digits-only decimal integers that fit 64
+ * bits.
  */
 
 #ifndef DEJAVUZZ_CAMPAIGN_FAULTS_HH

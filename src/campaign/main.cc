@@ -24,15 +24,11 @@
  * ledger as a regression suite.
  */
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
 
 #include "campaign/campaign_dir.hh"
@@ -42,9 +38,12 @@
 #include "obs/telemetry.hh"
 #include "triage/triage.hh"
 #include "uarch/config.hh"
+#include "util/parse.hh"
 
 namespace {
 
+using dejavuzz::parseDouble;
+using dejavuzz::parseUint;
 using dejavuzz::campaign::CampaignOptions;
 using dejavuzz::campaign::CampaignOrchestrator;
 using dejavuzz::campaign::CampaignStats;
@@ -79,8 +78,6 @@ usage(const char *argv0)
         "(default 200)\n"
         "  --batch N          iterations per scheduler batch "
         "(default 32)\n"
-        "  --no-steal         disable batch work-stealing "
-        "(barrier fleet; same results, slower on skewed shards)\n"
         "  --batch-retries N  re-execute a crashed/timed-out batch "
         "up to N times with the identical spec (default 2);\n"
         "                     a batch that exhausts its retries is "
@@ -101,11 +98,6 @@ usage(const char *argv0)
         "                     (kinds: batch-throw batch-hang "
         "short-write torn-rename enospc; docs/robustness.md)\n"
         "  --master-seed X    campaign master seed (default 1)\n"
-        "  --steals N         stolen seeds per worker per epoch "
-        "(default 1)\n"
-        "  --corpus-shards N  corpus lock shards (default 8)\n"
-        "  --corpus-cap N     entries retained per shard "
-        "(default 64)\n"
         "  --out PATH         JSONL output file (default stdout)\n"
         "  --corpus-in PATH   resume from a saved corpus file\n"
         "  --corpus-out PATH  persist the final corpus to a file\n"
@@ -132,35 +124,6 @@ usage(const char *argv0)
         "  --quiet            suppress the stderr digest\n"
         "  --help             this text\n",
         argv0);
-}
-
-/** Parse a decimal integer into @p out: digits only (strtoull would
- *  also take whitespace and a sign, negating "-5" into a huge value),
- *  and no larger than T holds. */
-template <typename T>
-bool
-parseUint(const char *text, T &out)
-{
-    if (*text == '\0' || text[std::strspn(text, "0123456789")] != '\0')
-        return false;
-    errno = 0;
-    const unsigned long long value = std::strtoull(text, nullptr, 10);
-    if (errno == ERANGE || value > std::numeric_limits<T>::max())
-        return false;
-    out = static_cast<T>(value);
-    return true;
-}
-
-/** Parse a finite double into @p out (strtod also takes nan/inf). */
-bool
-parseDouble(const char *text, double &out)
-{
-    char *end = nullptr;
-    double value = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(value))
-        return false;
-    out = value;
-    return true;
 }
 
 } // namespace
@@ -273,8 +236,6 @@ main(int argc, char **argv)
                 options.batch_iterations == 0) {
                 bad();
             }
-        } else if (arg == "--no-steal") {
-            options.steal_batches = false;
         } else if (arg == "--batch-retries") {
             if (!parseUint(value(), options.batch_retries))
                 bad();
@@ -296,19 +257,6 @@ main(int argc, char **argv)
         } else if (arg == "--master-seed") {
             if (!parseUint(value(), options.master_seed))
                 bad();
-        } else if (arg == "--steals") {
-            if (!parseUint(value(), options.steals_per_epoch))
-                bad();
-        } else if (arg == "--corpus-shards") {
-            if (!parseUint(value(), options.corpus_shards) ||
-                options.corpus_shards == 0) {
-                bad();
-            }
-        } else if (arg == "--corpus-cap") {
-            if (!parseUint(value(), options.corpus_shard_cap) ||
-                options.corpus_shard_cap == 0) {
-                bad();
-            }
         } else if (arg == "--out") {
             out_path = value();
         } else if (arg == "--corpus-in") {
@@ -770,13 +718,12 @@ main(int argc, char **argv)
 
     if (!quiet) {
         std::fprintf(stderr,
-            "campaign: %u workers (%s, %s sched), %llu iterations "
+            "campaign: %u workers (%s), %llu iterations "
             "in %.2fs (%.1f iters/s), %llu coverage points, %zu "
             "distinct bugs (%llu reports), corpus %llu, %llu "
             "steals, %llu/%llu batches stolen, %.2fs barrier idle\n",
             options.workers,
             dejavuzz::campaign::shardPolicyName(options.policy),
-            stats.stealing ? "steal" : "barrier",
             static_cast<unsigned long long>(stats.iterations),
             stats.wall_seconds, stats.iters_per_sec,
             static_cast<unsigned long long>(stats.coverage_points),

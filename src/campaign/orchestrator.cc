@@ -134,7 +134,6 @@ applyAblationVariant(const std::string &name,
 CampaignOrchestrator::CampaignOrchestrator(
     const CampaignOptions &options)
     : options_(options),
-      corpus_(options.corpus_shards, options.corpus_shard_cap),
       steal_rng_(Rng::streamSeed(options.master_seed,
                                  0x5eedfeedULL))
 {
@@ -253,7 +252,6 @@ CampaignOrchestrator::provision()
         kind_ids.push_back(shard.kind);
     sched_ = std::make_unique<WorkStealingScheduler>(kind_ids);
     busy_seconds_.assign(shards_.size(), 0.0);
-    base_quotas_ = baseQuotas();
     kind_fail_streak_.assign(kinds.size(), 0);
     kind_disabled_.assign(kinds.size(), false);
 }
@@ -280,9 +278,9 @@ CampaignOrchestrator::preloadCorpus(
         // requires a completed window payload.
         if (!entry.tc.has_window_payload)
             continue;
-        // A corpus tighter than the saving campaign's (smaller
-        // --corpus-cap) retains only the top of the saved set;
-        // only what actually landed counts as preloaded.
+        // A file holding more entries than a corpus shard retains
+        // keeps only the top of the saved set; only what actually
+        // landed counts as preloaded.
         if (!corpus_.offer(entry))
             continue;
         preloaded_ids_.insert({entry.worker, entry.seq});
@@ -497,38 +495,14 @@ CampaignOrchestrator::minimizeCorpus()
 }
 
 std::vector<uint64_t>
-CampaignOrchestrator::baseQuotas() const
-{
-    std::vector<uint64_t> quotas(shards_.size());
-    uint64_t desired_total = 0;
-    for (size_t w = 0; w < shards_.size(); ++w) {
-        double weight = w < options_.shard_weights.size()
-                            ? options_.shard_weights[w]
-                            : 1.0;
-        if (weight < 0.0)
-            weight = 0.0;
-        quotas[w] = static_cast<uint64_t>(
-            static_cast<double>(options_.epoch_iterations) * weight +
-            0.5);
-        desired_total += quotas[w];
-    }
-    if (desired_total == 0) {
-        // All-zero weights would stall the campaign; fall back to a
-        // single active shard.
-        quotas.assign(shards_.size(), 0);
-        quotas[0] = options_.epoch_iterations;
-    }
-    return quotas;
-}
-
-std::vector<uint64_t>
 CampaignOrchestrator::planQuotas(uint64_t done) const
 {
     // Desired per-shard quota for a full epoch. Shards of a disabled
     // kind plan nothing — graceful degradation zeroes them before the
     // budget scaling, so the surviving kinds inherit the remaining
     // budget proportionally.
-    std::vector<uint64_t> quotas = base_quotas_;
+    std::vector<uint64_t> quotas(shards_.size(),
+                                 options_.epoch_iterations);
     for (size_t w = 0; w < shards_.size(); ++w) {
         if (kind_disabled_[shards_[w].kind])
             quotas[w] = 0;
@@ -577,9 +551,8 @@ CampaignOrchestrator::executorLoop(unsigned t)
         BatchTask task;
         if (!sched_->popOwn(t, task)) {
             // Own deque dry: convert would-be barrier idle into
-            // stolen batches. In --no-steal mode the thread simply
-            // parks at the barrier (the PR-1 behaviour).
-            if (!options_.steal_batches || !sched_->steal(t, task))
+            // stolen batches.
+            if (!sched_->steal(t, task))
                 break;
         }
         const Shard &shard = shards_[task.shard];
@@ -857,25 +830,25 @@ CampaignOrchestrator::syncEpoch(uint64_t epoch)
     stats_.batches_stolen += epoch_stolen_;
     stats_.steal_idle_ns += epoch_idle_ns_;
 
-    // Cross-shard seed stealing from a canonical corpus snapshot.
-    // Only (gain, worker, seq) keys are snapshotted; the handful of
-    // entries actually injected are fetched individually, so the
-    // barrier never deep-copies the whole corpus. A single-worker
-    // fleet still steals when the corpus was preloaded from a saved
-    // campaign — that is what makes --corpus-in resume the run.
-    if (options_.steals_per_epoch == 0 ||
-        (shards_.size() < 2 && preloaded_ids_.empty())) {
+    // Cross-shard seed stealing from a canonical corpus snapshot: one
+    // seed per shard per barrier. Only (gain, worker, seq) keys are
+    // snapshotted; the entries actually injected are fetched
+    // individually, so the barrier never deep-copies the whole
+    // corpus. A single-worker fleet still steals when the corpus was
+    // preloaded from a saved campaign — that is what makes
+    // --corpus-in resume the run.
+    if (shards_.size() < 2 && preloaded_ids_.empty())
         return;
-    }
     std::vector<CorpusKey> snapshot = corpus_.snapshotKeys();
     if (snapshot.empty())
         return;
     for (unsigned w = 0; w < shards_.size(); ++w) {
         Shard &shard = shards_[w];
-        // A zero-weight shard never plans an epoch: seeds queued for
-        // it would pile up in pending_inject forever (and inflate
-        // the steals counter with injections that never execute).
-        if (base_quotas_[w] == 0)
+        // A disabled kind's shard never plans another epoch: seeds
+        // queued for it would pile up in pending_inject forever (and
+        // inflate the steals counter with injections that never
+        // execute).
+        if (kind_disabled_[shard.kind])
             continue;
         std::vector<const CorpusKey *> eligible;
         eligible.reserve(snapshot.size());
@@ -899,24 +872,18 @@ CampaignOrchestrator::syncEpoch(uint64_t epoch)
                 continue;
             eligible.push_back(&key);
         }
-        for (unsigned s = 0;
-             s < options_.steals_per_epoch && !eligible.empty();
-             ++s) {
-            // Bias toward the head of the canonical (highest-gain)
-            // order: draw twice, keep the earlier index.
-            uint64_t a = steal_rng_.below(eligible.size());
-            uint64_t b = steal_rng_.below(eligible.size());
-            uint64_t pick = std::min(a, b);
-            const CorpusKey *key = eligible[pick];
-            CorpusEntry entry;
-            if (corpus_.fetch(key->worker, key->seq, entry)) {
-                shard.pending_inject.push_back(
-                    std::move(entry.tc));
-                shard.stolen.insert({key->worker, key->seq});
-                ++steals_;
-            }
-            eligible.erase(eligible.begin() +
-                           static_cast<ptrdiff_t>(pick));
+        if (eligible.empty())
+            continue;
+        // Bias toward the head of the canonical (highest-gain)
+        // order: draw twice, keep the earlier index.
+        uint64_t a = steal_rng_.below(eligible.size());
+        uint64_t b = steal_rng_.below(eligible.size());
+        const CorpusKey *key = eligible[std::min(a, b)];
+        CorpusEntry entry;
+        if (corpus_.fetch(key->worker, key->seq, entry)) {
+            shard.pending_inject.push_back(std::move(entry.tc));
+            shard.stolen.insert({key->worker, key->seq});
+            ++steals_;
         }
     }
 }
@@ -944,7 +911,6 @@ CampaignOrchestrator::finalizeStats(double wall_seconds)
     stats_.corpus_preloaded = preloaded_;
     stats_.steals = steals_;
     stats_.batch_iterations = options_.batch_iterations;
-    stats_.stealing = options_.steal_batches;
     stats_.wall_seconds = wall_seconds;
     stats_.iters_per_sec =
         wall_seconds > 0.0

@@ -17,16 +17,15 @@
  * (core::Fuzzer::runBatch). Coverage merging is commutative, corpus
  * retention is arrival-order independent, bug reports are drained at
  * the barrier in (shard, batch) order, and all cross-shard coupling
- * (corpus seed stealing) happens at the barriers with an
- * epoch-deterministic Rng stream. An iteration-budgeted campaign
- * with a fixed (master seed, worker count, policy, batch size,
- * budget) is therefore bit-reproducible regardless of thread timing
- * — and regardless of whether batch stealing is enabled: stealing
- * changes only which thread executes a batch and when, never what
- * the batch computes. Wall-clock-budgeted campaigns stop at a
- * machine-speed-dependent epoch and are not reproducible; the
- * batches_stolen / steal_idle_ns counters are wall-clock artifacts
- * in every mode.
+ * (one corpus seed stolen per shard per barrier) happens at the
+ * barriers with an epoch-deterministic Rng stream. An
+ * iteration-budgeted campaign with a fixed (master seed, worker
+ * count, policy, batch size, budget) is therefore bit-reproducible
+ * regardless of thread timing: stealing changes only which thread
+ * executes a batch and when, never what the batch computes.
+ * Wall-clock-budgeted campaigns stop at a machine-speed-dependent
+ * epoch and are not reproducible; the batches_stolen /
+ * steal_idle_ns counters are wall-clock artifacts in every run.
  */
 
 #ifndef DEJAVUZZ_CAMPAIGN_ORCHESTRATOR_HH
@@ -112,21 +111,6 @@ struct CampaignOptions
 
     /** Iterations per scheduler batch (the work-stealing grain). */
     uint64_t batch_iterations = 32;
-    /** Allow idle workers to execute peers' batches. Disabling
-     *  reproduces the PR-1 barrier fleet (each thread runs only its
-     *  own quota); outcomes are bit-identical either way. */
-    bool steal_batches = true;
-    /**
-     * Relative per-worker epoch-quota weights (empty = uniform 1.0).
-     * Worker w's epoch quota is round(epoch_iterations * weight) —
-     * the knob the skewed-shard scheduler benchmark turns.
-     */
-    std::vector<double> shard_weights;
-
-    unsigned corpus_shards = 8;
-    unsigned corpus_shard_cap = 64;
-    /** Stolen corpus seeds injected per worker per sync. */
-    unsigned steals_per_epoch = 1;
 
     /** Base core config (shard policies derive per-worker configs). */
     uarch::CoreConfig base_config;
@@ -154,7 +138,8 @@ struct CampaignOptions
      * Fleet-wide graceful degradation: when one (config, variant)
      * kind accumulates this many *consecutive* failed batches across
      * its shards, the kind is disabled for the rest of the campaign
-     * (its shards plan zero-iteration epochs) with a logged reason.
+     * (its shards plan zero-iteration epochs and receive no stolen
+     * seeds) with a logged reason.
      * 0 = never disable. A campaign whose every kind is disabled
      * terminates instead of spinning.
      */
@@ -358,10 +343,6 @@ class CampaignOrchestrator
 
     void provision();
     std::vector<uint64_t> planQuotas(uint64_t done) const;
-    /** Full-epoch per-shard quotas from the weights (budget scaling
-     *  aside); fixed for the campaign's lifetime. A zero entry marks
-     *  a shard that never runs — it must not receive stolen seeds. */
-    std::vector<uint64_t> baseQuotas() const;
     void runEpoch(const std::vector<uint64_t> &quotas);
     void syncEpoch(uint64_t epoch);
     void executorLoop(unsigned t);
@@ -386,7 +367,6 @@ class CampaignOrchestrator
     std::map<std::string, ift::TaintCoverage> group_snapshots_;
 
     std::unique_ptr<WorkStealingScheduler> sched_;
-    std::vector<uint64_t> base_quotas_;
     /** Per-(shard, slot) results of the epoch in flight. */
     std::vector<std::vector<SlotResult>> epoch_results_;
     std::vector<double> busy_seconds_;

@@ -13,9 +13,9 @@
  *
  * Batches are self-contained deterministic work units (see
  * core::Fuzzer::BatchSpec): stealing changes which thread executes a
- * batch and when, never what the batch computes, so a stealing run
- * and a --no-steal run with the same master seed produce identical
- * corpora and bug ledgers.
+ * batch and when, never what the batch computes, so two runs with
+ * the same master seed produce identical corpora and bug ledgers
+ * however their threads happen to interleave.
  *
  * Compatibility: a thief may only execute batches whose shard shares
  * its (core config, ablation variant) — the executor reuses its own

@@ -138,9 +138,7 @@ writeCampaignJsonl(std::ostream &os, const CampaignStats &stats,
        << ",\"bugs_restored\":" << stats.bugs_restored
        << ",\"reports_restored\":" << stats.reports_restored
        << ",\"steals\":" << stats.steals
-       << ",\"sched\":\""
-       << (stats.stealing ? "steal" : "barrier")
-       << "\",\"batch\":" << stats.batch_iterations
+       << ",\"batch\":" << stats.batch_iterations
        << ",\"batches\":" << stats.batches
        << ",\"batch_retries\":" << stats.batch_retries
        << ",\"batch_deadline_kills\":" << stats.batch_deadline_kills

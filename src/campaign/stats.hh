@@ -98,7 +98,6 @@ struct CampaignStats
     uint64_t kinds_disabled = 0;      ///< (config,variant) kinds disabled
     uint64_t batches_stolen = 0;   ///< executed by a non-owner thread
     uint64_t steal_idle_ns = 0;    ///< Σ per-thread barrier idle
-    bool stealing = true;          ///< false under --no-steal
     double wall_seconds = 0.0;
     double iters_per_sec = 0.0;
 

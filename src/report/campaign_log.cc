@@ -273,7 +273,6 @@ parseCampaignLog(std::istream &is, const std::string &name,
             fields.u64("bugs_restored", row.bugs_restored);
             fields.u64("reports_restored", row.reports_restored);
             fields.u64("steals", row.steals);
-            fields.str("sched", row.sched);
             fields.u64("batch", row.batch);
             fields.u64("batches", row.batches);
             fields.u64("batches_stolen", row.batches_stolen);

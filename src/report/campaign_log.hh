@@ -135,7 +135,6 @@ struct SummaryRow
                                      ///< from per-worker sums)
     uint64_t steals = 0;
     /** Scheduler fields. */
-    std::string sched;             ///< "steal" | "barrier"
     uint64_t batch = 0;            ///< iterations per batch
     uint64_t batches = 0;          ///< batches executed
     uint64_t batches_stolen = 0;   ///< executed by a non-owner

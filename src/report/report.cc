@@ -95,7 +95,7 @@ schedulerTable(const std::vector<CampaignLog> &logs)
     // renderers).
     ReportTable table;
     table.title = "Scheduler occupancy";
-    table.header = {"campaign", "sched", "batch", "batches",
+    table.header = {"campaign", "batch", "batches",
                     "batches_stolen", "stolen_pct", "steal_idle_s",
                     "idle_per_worker_s"};
     for (const auto &log : logs) {
@@ -114,8 +114,7 @@ schedulerTable(const std::vector<CampaignLog> &logs)
                           static_cast<double>(s.batches_stolen) /
                           static_cast<double>(s.batches));
         table.rows.push_back(
-            {log.name, s.sched,
-             fmtU64(s.batch), fmtU64(s.batches),
+            {log.name, fmtU64(s.batch), fmtU64(s.batches),
              fmtU64(s.batches_stolen), pct, fmtF64(idle_s),
              fmtF64(per_worker)});
     }

@@ -501,9 +501,7 @@ TEST(Campaign, RepeatRunsAreBitIdentical)
 
 TEST(Campaign, SeedStealingInjectsForeignSeeds)
 {
-    CampaignOptions options = smallCampaign(2, 1000);
-    options.steals_per_epoch = 2;
-    CampaignOrchestrator orchestrator(options);
+    CampaignOrchestrator orchestrator(smallCampaign(2, 1000));
     CampaignStats stats = orchestrator.run();
     EXPECT_GT(stats.steals, 0u);
     EXPECT_GT(stats.seeds_imported, 0u);
@@ -623,7 +621,6 @@ TEST(Campaign, CorpusSaveLoadResume)
 {
     // First campaign: run and persist the corpus.
     CampaignOptions options = smallCampaign(2, 750);
-    options.steals_per_epoch = 1;
     CampaignOrchestrator first(options);
     first.run();
     ASSERT_GT(first.corpus().size(), 0u);
@@ -641,7 +638,6 @@ TEST(Campaign, CorpusSaveLoadResume)
     // Resume: preload into a fresh campaign with a different seed.
     CampaignOptions resume_options = smallCampaign(2, 750);
     resume_options.master_seed = 11;
-    resume_options.steals_per_epoch = 1;
     CampaignOrchestrator second(resume_options);
     EXPECT_EQ(second.preloadCorpus(loaded.entries),
               loaded.entries.size());
@@ -676,19 +672,18 @@ TEST(Campaign, CorpusSaveLoadResume)
 
 TEST(Campaign, PreloadCountsOnlyRetainedEntries)
 {
-    // A resuming campaign with a tighter retention bound keeps only
-    // the top of the saved set; dropped entries must not be
-    // reported as preloaded.
-    CampaignOptions options = smallCampaign(2, 250);
-    options.corpus_shards = 1;
-    options.corpus_shard_cap = 2;
-    CampaignOrchestrator orchestrator(options);
+    // A saved set larger than the corpus retains (8 shards x 64)
+    // keeps only its top; dropped entries must not be reported as
+    // preloaded.
+    CampaignOrchestrator orchestrator(smallCampaign(2, 250));
     // Canonical (gain-desc) order, as loadFrom yields it.
-    std::vector<CorpusEntry> entries = {syntheticEntry(9, 0, 0),
-                                        syntheticEntry(4, 0, 1),
-                                        syntheticEntry(1, 1, 0)};
-    EXPECT_EQ(orchestrator.preloadCorpus(entries), 2u);
-    EXPECT_EQ(orchestrator.corpus().size(), 2u);
+    std::vector<CorpusEntry> entries;
+    for (uint64_t seq = 0; seq < 600; ++seq)
+        entries.push_back(syntheticEntry(1000 - seq, 0, seq));
+    const uint64_t admitted = orchestrator.preloadCorpus(entries);
+    EXPECT_EQ(admitted, orchestrator.corpus().size());
+    EXPECT_LT(admitted, entries.size());
+    EXPECT_LE(admitted, 8u * 64u);
 }
 
 // --- Work-stealing scheduler determinism --------------------------------
@@ -729,37 +724,39 @@ expectSameOutcome(const CampaignOrchestrator &a,
               b.stats().seeds_imported);
 }
 
-TEST(Scheduler, StealingMatchesNoStealBitIdentical)
+TEST(Scheduler, StealingRepeatRunsAreBitIdentical)
 {
-    // The tentpole property: batch work-stealing changes which
-    // thread executes a batch, never what the batch computes, so a
-    // 4-worker stealing campaign and a --no-steal campaign with the
-    // same master seed yield identical bug ledgers and corpus keys.
-    CampaignOptions steal = smallCampaign(4, 2000);
-    steal.batch_iterations = 16;
-    steal.steal_batches = true;
-    CampaignOptions barrier = steal;
-    barrier.steal_batches = false;
+    // Batch work-stealing changes which thread executes a batch,
+    // never what the batch computes, so two 4-worker campaigns with
+    // the same master seed yield identical bug ledgers and corpus
+    // keys however their threads interleave. test_fuzzer's
+    // Fuzzer.RunBatchIsExecutorIndependent checks the per-batch
+    // invariant directly, without depending on a steal happening.
+    CampaignOptions options = smallCampaign(4, 2000);
+    options.batch_iterations = 16;
 
-    CampaignOrchestrator a(steal);
+    CampaignOrchestrator a(options);
     CampaignStats sa = a.run();
-    CampaignOrchestrator b(barrier);
+    CampaignOrchestrator b(options);
     CampaignStats sb = b.run();
 
     EXPECT_GT(a.ledger().distinct(), 0u);
     expectSameOutcome(a, b);
 
-    // The scheduler-occupancy counters are the only divergence
-    // axis: a barrier run by definition steals nothing.
-    EXPECT_EQ(sb.batches_stolen, 0u);
+    // The scheduler-occupancy counters are the only divergence axis.
     EXPECT_EQ(sa.batches, sb.batches);
     EXPECT_LE(sa.batches_stolen, sa.batches);
+    EXPECT_LE(sb.batches_stolen, sb.batches);
 }
 
 TEST(Campaign, HeadsRepeatRunsAreBitIdentical)
 {
+    // Work stealing moves batches between threads, never across
+    // heads: the kind classes keyed on the head variant keep each
+    // stolen batch inside its own subspace, so repeat runs agree.
     CampaignOptions options = smallCampaign(4, 1000);
     options.policy = ShardPolicy::Heads;
+    options.batch_iterations = 16;
     CampaignOrchestrator a(options);
     a.run();
     CampaignOrchestrator b(options);
@@ -768,42 +765,19 @@ TEST(Campaign, HeadsRepeatRunsAreBitIdentical)
     expectSameOutcome(a, b);
 }
 
-TEST(Scheduler, HeadsStealingMatchesNoStealBitIdentical)
-{
-    // Work stealing moves batches between threads, never across
-    // heads: the kind classes keyed on the head variant keep each
-    // stolen batch inside its own subspace, so stealing cannot
-    // change what a heads campaign computes.
-    CampaignOptions steal = smallCampaign(4, 1000);
-    steal.policy = ShardPolicy::Heads;
-    steal.batch_iterations = 16;
-    steal.steal_batches = true;
-    CampaignOptions barrier = steal;
-    barrier.steal_batches = false;
-
-    CampaignOrchestrator a(steal);
-    a.run();
-    CampaignOrchestrator b(barrier);
-    b.run();
-    expectSameOutcome(a, b);
-}
-
 TEST(Scheduler, TelemetryDoesNotPerturbDeterminism)
 {
-    // Telemetry is observational only: a fully instrumented stealing
-    // campaign (trace capture on, heartbeats streaming) must stay
-    // bit-identical to a bare barrier campaign with the same seed.
-    CampaignOptions barrier = smallCampaign(4, 2000);
-    barrier.batch_iterations = 16;
-    barrier.steal_batches = false;
-    CampaignOrchestrator a(barrier);
+    // Telemetry is observational only: a fully instrumented campaign
+    // (trace capture on, heartbeats streaming) must stay
+    // bit-identical to a bare campaign with the same seed.
+    CampaignOptions bare = smallCampaign(4, 2000);
+    bare.batch_iterations = 16;
+    CampaignOrchestrator a(bare);
     a.run();
 
     obs::resetForTest();
     obs::enableTrace(true);
-    CampaignOptions instrumented = smallCampaign(4, 2000);
-    instrumented.batch_iterations = 16;
-    instrumented.steal_batches = true;
+    CampaignOptions instrumented = bare;
     instrumented.heartbeat_sec = 0.002;
     std::ostringstream heartbeats;
     instrumented.heartbeat_out = &heartbeats;
@@ -820,65 +794,18 @@ TEST(Scheduler, TelemetryDoesNotPerturbDeterminism)
 #endif
 }
 
-TEST(Scheduler, BatchSizeOnePreservesEquivalence)
+TEST(Scheduler, BatchSizeOneRepeatRunsAreBitIdentical)
 {
     // The finest grain exercises the seq/iteration numbering edge
     // cases (one identity range per iteration).
-    CampaignOptions steal = smallCampaign(2, 400);
-    steal.batch_iterations = 1;
-    CampaignOptions barrier = steal;
-    barrier.steal_batches = false;
+    CampaignOptions options = smallCampaign(2, 400);
+    options.batch_iterations = 1;
 
-    CampaignOrchestrator a(steal);
+    CampaignOrchestrator a(options);
     a.run();
-    CampaignOrchestrator b(barrier);
+    CampaignOrchestrator b(options);
     b.run();
     expectSameOutcome(a, b);
-}
-
-TEST(Scheduler, SkewedWeightsPreserveEquivalence)
-{
-    // One shard with 4x the work — the heterogeneity case stealing
-    // exists for. Outcomes must still be mode-independent.
-    CampaignOptions steal = smallCampaign(4, 1400);
-    steal.epoch_iterations = 50;
-    steal.batch_iterations = 10;
-    steal.shard_weights = {4.0, 1.0, 1.0, 1.0};
-    CampaignOptions barrier = steal;
-    barrier.steal_batches = false;
-
-    CampaignOrchestrator a(steal);
-    CampaignStats sa = a.run();
-    CampaignOrchestrator b(barrier);
-    b.run();
-    expectSameOutcome(a, b);
-
-    // The skewed shard really received ~4x the iterations.
-    ASSERT_EQ(sa.workers.size(), 4u);
-    EXPECT_GT(sa.workers[0].iterations,
-              3 * sa.workers[1].iterations);
-    EXPECT_EQ(sa.iterations, 1400u);
-}
-
-TEST(Scheduler, ZeroWeightShardReceivesNoStolenSeeds)
-{
-    // A zero-weight shard never plans an epoch; routing stolen
-    // corpus seeds to it would leak them into a queue that never
-    // drains and overstate the steals counter.
-    CampaignOptions options = smallCampaign(3, 750);
-    options.epoch_iterations = 125;
-    options.shard_weights = {1.0, 1.0, 0.0};
-    options.steals_per_epoch = 2;
-    CampaignOrchestrator orchestrator(options);
-    CampaignStats stats = orchestrator.run();
-
-    ASSERT_EQ(stats.workers.size(), 3u);
-    EXPECT_EQ(stats.workers[2].iterations, 0u);
-    EXPECT_EQ(stats.workers[2].seeds_imported, 0u);
-    EXPECT_EQ(stats.iterations, 750u);
-    // Steals only target shards that can actually run them.
-    EXPECT_LE(stats.seeds_imported, stats.steals);
-    EXPECT_GT(stats.steals, 0u);
 }
 
 TEST(Scheduler, BatchAccountingIsCoherent)
@@ -1236,6 +1163,20 @@ TEST(CampaignDir, MetaRoundTripsAndDetectsMismatches)
     ASSERT_EQ(old_formats.size(), 2u);
     EXPECT_EQ(old_formats[0], "corpus_version: saved 1, current 2");
     EXPECT_EQ(old_formats[1], "snapshot_version: saved 1, current 2");
+
+    // A version-1 meta.json also carried the retired scheduler and
+    // corpus-geometry fields (a --corpus-cap 2 save among them). It
+    // still parses; the version mismatch is what refuses the resume.
+    std::stringstream v1(
+        "{\"meta_version\":1,\"corpus_version\":2,"
+        "\"snapshot_version\":2,\"master_seed\":7,\"workers\":2,"
+        "\"policy\":\"replicas\",\"core\":\"SmallBOOM\",\"epoch\":125,"
+        "\"batch\":32,\"steal\":true,\"steals\":1,\"templates\":1,"
+        "\"corpus_shards\":8,\"corpus_cap\":2,\"generation\":1}\n");
+    ASSERT_TRUE(campaign::readMeta(v1, loaded, &error)) << error;
+    const auto v1_mismatches = campaign::metaMismatches(loaded, meta);
+    ASSERT_EQ(v1_mismatches.size(), 1u);
+    EXPECT_EQ(v1_mismatches[0], "meta_version: saved 1, current 2");
 
     // Garbage meta fails cleanly.
     std::stringstream bad("{\"meta_version\":1}");

@@ -99,13 +99,42 @@ TEST_F(FaultsTest, SpecRejectsMalformedInput)
     std::string error;
     EXPECT_FALSE(campaign::armFaults("bogus-kind=1", &error));
     EXPECT_NE(error.find("unknown failpoint"), std::string::npos);
-    EXPECT_FALSE(campaign::armFaults("batch-throw", &error));
-    EXPECT_FALSE(campaign::armFaults("batch-throw=nope", &error));
-    EXPECT_FALSE(campaign::armFaults("seed=-3,enospc=1", &error));
-    EXPECT_FALSE(campaign::armFaults("enospc=1:1.5", &error));
-    // A failed parse must leave the registry disarmed.
-    EXPECT_FALSE(campaign::faultsArmed());
+    // Seeds and caps are digits-only integers that fit 64 bits; a
+    // probability is a finite number in [0, 1]. A nan compares false
+    // against both bounds, so a bare range check lets it through.
+    for (const char *spec :
+         {"batch-throw", "batch-throw=nope", "seed=-3,enospc=1",
+          "enospc=1:1.5", "batch-throw=nan", "batch-throw=-nan",
+          "batch-throw=inf", "seed=1e300", "seed=1.0", "seed=+1",
+          "seed= 1", "seed=0x10", "seed=18446744073709551616",
+          "enospc=1:1e3", "enospc=1:+2",
+          "enospc=1:18446744073709551616"}) {
+        // A failed parse must leave the registry disarmed.
+        ASSERT_TRUE(campaign::armFaults("enospc=1"));
+        EXPECT_FALSE(campaign::armFaults(spec, &error)) << spec;
+        EXPECT_FALSE(campaign::faultsArmed()) << spec;
+        // The CLI names the flag; the parser must not repeat it.
+        EXPECT_EQ(error.find("--inject-faults"), std::string::npos)
+            << error;
+    }
     EXPECT_FALSE(campaign::shouldFail(Fault::Enospc));
+}
+
+TEST_F(FaultsTest, SpecNumbersParseExactly)
+{
+    EXPECT_TRUE(campaign::armFaults(
+        "seed=18446744073709551615,enospc=1:18446744073709551615"));
+    // 2^53 + 1 has no double representation: a floating-point parse
+    // rounds it onto 2^53, and the two specs would roll one sequence.
+    auto roll = [](const std::string &spec) {
+        EXPECT_TRUE(campaign::armFaults(spec)) << spec;
+        std::vector<bool> fired;
+        for (int i = 0; i < 64; ++i)
+            fired.push_back(campaign::shouldFail(Fault::BatchThrow));
+        return fired;
+    };
+    EXPECT_NE(roll("seed=9007199254740992,batch-throw=0.5"),
+              roll("seed=9007199254740993,batch-throw=0.5"));
 }
 
 TEST_F(FaultsTest, FiringSequenceIsSeededAndCapped)
@@ -398,6 +427,41 @@ TEST_F(FaultsTest, AlwaysHangingBatchesDegradeGracefully)
     // against: skipped iterations never appear as progress.
     for (const auto &sample : stats.epoch_curve)
         EXPECT_EQ(sample.iterations, 0u);
+}
+
+TEST_F(FaultsTest, DisabledKindReceivesNoStolenSeeds)
+{
+    // The first batch to run hangs and disables its kind at the
+    // first barrier. The disabled shard never plans another epoch,
+    // so seeds stolen for it would pile up in a queue that never
+    // drains (and that every checkpoint saves). Its peer is the only
+    // other author in the steal domain, so nothing may be stolen.
+    CampaignOptions options = smallCampaign(2, 2000);
+    options.policy = campaign::ShardPolicy::AblationMatrix;
+    options.epoch_iterations = 50;
+    options.batch_iterations = 50;
+    options.batch_retries = 0;
+    options.kind_disable_failures = 1;
+    ASSERT_TRUE(campaign::armFaults("seed=1,batch-hang=1:1"));
+    CampaignOrchestrator orchestrator(options);
+    CampaignStats stats = orchestrator.run();
+    campaign::disarmFaults();
+
+    EXPECT_EQ(stats.kinds_disabled, 1u);
+    EXPECT_EQ(stats.batches_failed, 1u);
+    EXPECT_EQ(stats.steals, 0u);
+    const campaign::CampaignCheckpoint cp =
+        orchestrator.makeCheckpoint();
+    ASSERT_EQ(stats.workers.size(), 2u);
+    ASSERT_EQ(cp.shards.size(), 2u);
+    unsigned disabled = 0;
+    for (unsigned w = 0; w < 2; ++w) {
+        if (stats.workers[w].iterations != 0)
+            continue;
+        ++disabled;
+        EXPECT_TRUE(cp.shards[w].pending_inject.empty()) << w;
+    }
+    EXPECT_EQ(disabled, 1u);
 }
 
 } // namespace

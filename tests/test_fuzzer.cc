@@ -3,12 +3,16 @@
  * Integration tests of the DejaVuzz pipeline: Phase-1 window
  * triggering across all trigger kinds, training reduction, Phase-2
  * taint propagation + coverage, Phase-3 leak detection, the fuzzer
- * loop, and the SpecDoctor baseline.
+ * loop, batch executor independence, and the SpecDoctor baseline.
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "baseline/specdoctor.hh"
+#include "campaign/io_util.hh"
 #include "core/fuzzer.hh"
 #include "core/phases.hh"
 #include "core/stimgen.hh"
@@ -235,6 +239,130 @@ TEST(FuzzerLoop, DeterministicBySeed)
     EXPECT_EQ(a.stats().windows_triggered,
               b.stats().windows_triggered);
     EXPECT_EQ(a.stats().bugs.size(), b.stats().bugs.size());
+}
+
+/** Everything one runBatch() call produced, in comparable form. */
+struct BatchOutcome
+{
+    Fuzzer::BatchResult res;
+    std::vector<std::pair<uint16_t, uint32_t>> coverage;
+    std::vector<std::pair<uint64_t, uint64_t>> offers; ///< (hash, gain)
+};
+
+BatchOutcome
+runObserved(Fuzzer &fuzzer, const Fuzzer::BatchSpec &spec)
+{
+    BatchOutcome out;
+    fuzzer.setInterestingHook(
+        [&out](const TestCase &tc, uint64_t gain) {
+            out.offers.emplace_back(campaign::hashTestCase(tc), gain);
+        });
+    out.res = fuzzer.runBatch(spec);
+    fuzzer.setInterestingHook(nullptr);
+    for (const auto &point : fuzzer.coverage().tuples())
+        out.coverage.emplace_back(point.module_id, point.index);
+    return out;
+}
+
+std::vector<uint64_t>
+hashes(const std::vector<TestCase> &cases)
+{
+    std::vector<uint64_t> out;
+    for (const TestCase &tc : cases)
+        out.push_back(campaign::hashTestCase(tc));
+    return out;
+}
+
+TEST(Fuzzer, RunBatchIsExecutorIndependent)
+{
+    // The invariant batch work-stealing rests on: a batch's outcome
+    // is a function of its spec alone, whichever executor runs it.
+    // The second executor differs in everything the spec must
+    // override: its master seed, and the Rng position, active test
+    // case, coverage map and seed ids another shard's batch left.
+    const uarch::CoreConfig config = uarch::smallBoomConfig();
+    FuzzerOptions options;
+    options.master_seed = 3;
+    ift::TaintCoverage blank;
+    uarch::Core::registerModules(blank, config);
+
+    // Corpus seeds as a steal delivers them (completed test cases a
+    // peer found interesting), and a non-empty epoch baseline.
+    std::vector<TestCase> inject;
+    Fuzzer donor(config, options);
+    donor.setInterestingHook([&inject](const TestCase &tc, uint64_t) {
+        if (inject.size() < 3)
+            inject.push_back(tc);
+    });
+    Fuzzer::BatchSpec donor_spec;
+    donor_spec.rng_seed = 101;
+    donor_spec.iterations = 20;
+    donor_spec.baseline = &blank;
+    donor.runBatch(donor_spec);
+    ASSERT_FALSE(inject.empty());
+    const ift::TaintCoverage baseline = donor.coverage();
+    ASSERT_GT(baseline.points(), 0u);
+
+    Fuzzer::BatchSpec spec;
+    spec.rng_seed = 202;
+    spec.iter_base = 64;
+    spec.iterations = 48;
+    spec.baseline = &baseline;
+    spec.inject = inject;
+
+    Fuzzer fresh(config, options);
+    const BatchOutcome a = runObserved(fresh, spec);
+
+    // A short batch from an empty baseline leaves fresh seed ids
+    // consumed, a test case in flight and a high running gain
+    // average: state that leaks into the next batch unless
+    // runBatch resets it.
+    FuzzerOptions other_options = options;
+    other_options.master_seed = 99;
+    Fuzzer used(config, other_options);
+    Fuzzer::BatchSpec other;
+    other.rng_seed = 303;
+    other.iter_base = 32;
+    other.iterations = 12;
+    other.baseline = &blank;
+    runObserved(used, other);
+    const BatchOutcome b = runObserved(used, spec);
+
+    // The batch did real work: adopted seeds, opened windows,
+    // offered corpus entries.
+    EXPECT_GT(a.res.seeds_imported, 0u);
+    EXPECT_GT(a.res.windows_triggered, 0u);
+    EXPECT_FALSE(a.offers.empty());
+
+    EXPECT_EQ(a.res.iterations, b.res.iterations);
+    EXPECT_EQ(a.res.simulations, b.res.simulations);
+    EXPECT_EQ(a.res.windows_triggered, b.res.windows_triggered);
+    EXPECT_EQ(a.res.phase1_attempts, b.res.phase1_attempts);
+    EXPECT_EQ(a.res.phase2_runs, b.res.phase2_runs);
+    EXPECT_EQ(a.res.phase3_runs, b.res.phase3_runs);
+    EXPECT_EQ(a.res.seeds_imported, b.res.seeds_imported);
+    EXPECT_EQ(a.res.training_overhead, b.res.training_overhead);
+    EXPECT_EQ(a.res.effective_training, b.res.effective_training);
+    EXPECT_EQ(a.res.new_coverage, b.res.new_coverage);
+    EXPECT_EQ(a.res.deadline_hit, b.res.deadline_hit);
+    for (unsigned k = 0; k < core::kTriggerKinds; ++k) {
+        const auto &ta = a.res.triggers[k];
+        const auto &tb = b.res.triggers[k];
+        EXPECT_EQ(ta.windows, tb.windows) << k;
+        EXPECT_EQ(ta.training_overhead, tb.training_overhead) << k;
+        EXPECT_EQ(ta.effective_overhead, tb.effective_overhead) << k;
+        EXPECT_EQ(ta.attempts, tb.attempts) << k;
+    }
+    ASSERT_EQ(a.res.bugs.size(), b.res.bugs.size());
+    for (size_t i = 0; i < a.res.bugs.size(); ++i) {
+        EXPECT_EQ(a.res.bugs[i].key(), b.res.bugs[i].key());
+        EXPECT_EQ(a.res.bugs[i].iteration, b.res.bugs[i].iteration);
+    }
+    EXPECT_EQ(hashes(a.res.bug_cases), hashes(b.res.bug_cases));
+    EXPECT_EQ(hashes(a.res.leftover_inject),
+              hashes(b.res.leftover_inject));
+    EXPECT_EQ(a.coverage, b.coverage);
+    EXPECT_EQ(a.offers, b.offers);
 }
 
 TEST(SpecDoctorBaseline, FindsRollbacksAndCandidates)

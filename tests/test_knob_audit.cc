@@ -5,9 +5,12 @@
  * dead-knob bug class — an option the constructor silently dropped).
  * Each test flips exactly one knob against a pinned baseline and
  * asserts a measurable delta; knobs whose *documented* contract is
- * outcome-equivalence (steal_batches, record_coverage_curve,
- * heartbeats) instead assert that equivalence plus the observational
- * side channel that proves the knob is read at all.
+ * outcome-equivalence (record_coverage_curve, heartbeats) instead
+ * assert that equivalence plus the observational side channel that
+ * proves the knob is read at all. The campaign scheduler and corpus
+ * geometry are fixed (batch stealing always on, one stolen seed per
+ * shard per barrier, 8 corpus shards of 64 entries), so they have
+ * no knobs to audit.
  */
 
 #include <gtest/gtest.h>
@@ -283,85 +286,6 @@ TEST(KnobAudit, CampaignBatchIterations)
     CampaignOrchestrator b(fine);
     CampaignStats sb = b.run();
     EXPECT_NE(sa.batches, sb.batches);
-}
-
-TEST(KnobAudit, CampaignStealBatches)
-{
-    // Documented contract: outcome-equivalent; only the scheduler
-    // occupancy counters move. The full equivalence is asserted in
-    // test_campaign.cc — here the audit checks the knob is read.
-    CampaignOptions steal = baseCampaign();
-    steal.total_iterations = 2000;
-    steal.batch_iterations = 8;
-    steal.steal_batches = true;
-    CampaignOptions barrier = steal;
-    barrier.steal_batches = false;
-    CampaignOrchestrator a(steal);
-    CampaignStats sa = a.run();
-    CampaignOrchestrator b(barrier);
-    CampaignStats sb = b.run();
-    EXPECT_EQ(sb.batches_stolen, 0u);
-    EXPECT_EQ(sa.coverage_points, sb.coverage_points);
-    EXPECT_EQ(ledgerKeys(a), ledgerKeys(b));
-}
-
-TEST(KnobAudit, CampaignShardWeights)
-{
-    CampaignOptions skewed = baseCampaign();
-    skewed.shard_weights = {3.0, 1.0};
-    CampaignOrchestrator a(baseCampaign());
-    CampaignStats sa = a.run();
-    CampaignOrchestrator b(skewed);
-    CampaignStats sb = b.run();
-    EXPECT_EQ(sa.workers[0].iterations, sa.workers[1].iterations);
-    EXPECT_GT(sb.workers[0].iterations, sb.workers[1].iterations);
-}
-
-TEST(KnobAudit, CampaignCorpusShardCap)
-{
-    CampaignOptions tiny = baseCampaign();
-    tiny.total_iterations = 1000;
-    tiny.corpus_shards = 1;
-    tiny.corpus_shard_cap = 1;
-    CampaignOptions roomy = tiny;
-    roomy.corpus_shard_cap = 64;
-    CampaignOrchestrator a(tiny);
-    CampaignStats sa = a.run();
-    CampaignOrchestrator b(roomy);
-    CampaignStats sb = b.run();
-    EXPECT_LE(sa.corpus_size, 1u);
-    EXPECT_GT(sb.corpus_size, sa.corpus_size);
-}
-
-TEST(KnobAudit, CampaignCorpusShards)
-{
-    CampaignOptions one = baseCampaign();
-    one.total_iterations = 1000;
-    one.corpus_shards = 1;
-    one.corpus_shard_cap = 2;
-    CampaignOptions many = one;
-    many.corpus_shards = 8;
-    CampaignOrchestrator a(one);
-    CampaignStats sa = a.run();
-    CampaignOrchestrator b(many);
-    CampaignStats sb = b.run();
-    EXPECT_GT(sb.corpus_size, sa.corpus_size)
-        << "shard count must scale retention capacity";
-}
-
-TEST(KnobAudit, CampaignStealsPerEpoch)
-{
-    CampaignOptions none = baseCampaign();
-    none.total_iterations = 1000;
-    none.steals_per_epoch = 0;
-    CampaignOptions some = none;
-    some.steals_per_epoch = 2;
-    CampaignOrchestrator a(none);
-    CampaignStats sa = a.run();
-    CampaignOrchestrator b(some);
-    CampaignStats sb = b.run();
-    EXPECT_EQ(sa.steals, 0u);
-    EXPECT_GT(sb.steals, 0u);
 }
 
 TEST(KnobAudit, CampaignHeartbeats)

@@ -102,7 +102,7 @@ const char kZeroSummaryTail[] =
     "\"corpus_size\":0,\"corpus_preloaded\":0,"
     "\"corpus_minimized\":0,\"coverage_preloaded\":0,"
     "\"bugs_restored\":0,\"reports_restored\":0,"
-    "\"steals\":0,\"sched\":\"steal\",\"batch\":32,"
+    "\"steals\":0,\"batch\":32,"
     "\"batches\":0,\"batch_retries\":0,"
     "\"batch_deadline_kills\":0,\"batches_failed\":0,"
     "\"quarantined_seeds\":0,\"kinds_disabled\":0,"
@@ -357,7 +357,6 @@ TEST(CampaignLogRoundTrip, SchedulerFieldsRoundTrip)
     options.batch_iterations = 16;
     const CampaignLog log = runAndParse(options, "sched");
 
-    EXPECT_EQ(log.summary.sched, "steal");
     EXPECT_EQ(log.summary.batch, 16u);
     // 500 iters at epoch 125 x 2 workers: ceil(125/16) = 8 batches
     // per shard per epoch, 2 epochs.
@@ -426,7 +425,6 @@ TEST(CampaignLogRoundTrip, RejectsLogsMissingAnyEmittedField)
         {"summary", "coverage_preloaded"},
         {"summary", "bugs_restored"},
         {"summary", "reports_restored"},
-        {"summary", "sched"},
         {"summary", "batch"},
         {"summary", "batches"},
         {"summary", "batches_stolen"},

@@ -1,5 +1,6 @@
 #include "swapmem/memory.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -68,18 +69,127 @@ Memory::setByte(uint64_t addr, uint8_t value, bool tainted)
 {
     if (addr >= kMemBytes)
         return;
+    const uint8_t taint = tainted ? 1 : 0;
+    // A store that changes nothing is dropped: no undo record, no
+    // dirty bit. Exact, because a clean page holds only zero bytes.
+    if (data_[addr] == value && taint_[addr] == taint)
+        return;
     if (undo_active_) {
         undo_.push_back(UndoRec{static_cast<uint32_t>(addr),
                                 data_[addr], taint_[addr]});
     }
     dirty_pages_ |= 1ULL << (addr / kPageBytes);
     data_[addr] = value;
-    taint_[addr] = tainted ? 1 : 0;
+    taint_[addr] = taint;
 }
+
+namespace {
+
+static_assert(std::endian::native == std::endian::little,
+              "word-wide accesses assume a little-endian host");
+
+/** True when [addr, addr + bytes) lies inside the image (no overflow). */
+bool
+inImage(uint64_t addr, uint64_t bytes)
+{
+    return addr < kMemBytes && bytes <= kMemBytes - addr;
+}
+
+/** Unaligned load/store of one trivially copyable value. */
+template <typename T>
+T
+loadAs(const uint8_t *p)
+{
+    T value;
+    std::memcpy(&value, p, sizeof(value));
+    return value;
+}
+
+template <typename T>
+void
+storeAs(uint8_t *p, T value)
+{
+    std::memcpy(p, &value, sizeof(value));
+}
+
+/**
+ * Little-endian value of the @p bytes (at most 8) bytes at @p p. The
+ * access widths go through a type of that width: a narrower copy into
+ * a zeroed uint64_t would stall store-to-load forwarding. Declared
+ * inline so that RelWithDebInfo (-O2) builds inline it, like storeLE.
+ */
+inline uint64_t
+loadLE(const uint8_t *p, unsigned bytes)
+{
+    switch (bytes) {
+      case 1:
+        return p[0];
+      case 2:
+        return loadAs<uint16_t>(p);
+      case 4:
+        return loadAs<uint32_t>(p);
+      case 8:
+        return loadAs<uint64_t>(p);
+    }
+    uint64_t value = 0;
+    std::memcpy(&value, p, bytes);
+    return value;
+}
+
+/** Store the low @p bytes (at most 8) bytes of @p value at @p p. */
+inline void
+storeLE(uint8_t *p, uint64_t value, unsigned bytes)
+{
+    switch (bytes) {
+      case 1:
+        p[0] = static_cast<uint8_t>(value);
+        return;
+      case 2:
+        storeAs(p, static_cast<uint16_t>(value));
+        return;
+      case 4:
+        storeAs(p, static_cast<uint32_t>(value));
+        return;
+      case 8:
+        storeAs(p, value);
+        return;
+    }
+    std::memcpy(p, &value, bytes);
+}
+
+/** One 0/1 byte per byte of @p t: 1 where that byte is non-zero. */
+uint64_t
+nonZeroBytes(uint64_t t)
+{
+    // Fold each byte's bits into its bit 0. Bits shifted in from the
+    // next byte only land above bit 3, so they never reach bit 0.
+    t |= t >> 4;
+    t |= t >> 2;
+    t |= t >> 1;
+    return t & 0x0101010101010101ULL;
+}
+
+/** OR of the 64 bytes at @p p, folded into one word. */
+uint64_t
+orBlock64(const uint8_t *p)
+{
+    uint64_t acc = 0;
+    for (unsigned i = 0; i < 64; i += 8)
+        acc |= loadAs<uint64_t>(p + i);
+    return acc;
+}
+
+} // namespace
 
 TV
 Memory::read(uint64_t addr, unsigned bytes) const
 {
+    if (inImage(addr, bytes)) {
+        // Taint bytes are 0/1, so * 0xff widens them to the TV mask.
+        return TV{loadLE(&data_[addr], bytes),
+                  loadLE(&taint_[addr], bytes) * 0xff};
+    }
+    // Past or across the image end: those bytes read as clean zeros.
     TV tv;
     for (unsigned i = 0; i < bytes; ++i) {
         uint64_t a = addr + i;
@@ -95,18 +205,42 @@ Memory::read(uint64_t addr, unsigned bytes) const
 void
 Memory::write(uint64_t addr, unsigned bytes, TV tv)
 {
-    for (unsigned i = 0; i < bytes; ++i) {
-        uint64_t a = addr + i;
-        if (a >= kMemBytes)
-            continue;
-        bool byte_tainted = ((tv.t >> (8 * i)) & 0xff) != 0;
-        setByte(a, static_cast<uint8_t>(tv.v >> (8 * i)), byte_tainted);
+    if (!inImage(addr, bytes)) {
+        // Past or across the image end: those bytes are dropped.
+        for (unsigned i = 0; i < bytes; ++i) {
+            bool byte_tainted = ((tv.t >> (8 * i)) & 0xff) != 0;
+            setByte(addr + i, static_cast<uint8_t>(tv.v >> (8 * i)),
+                    byte_tainted);
+        }
+        return;
     }
+    const uint64_t mask = bytes >= 8 ? ~0ULL : (1ULL << (8 * bytes)) - 1;
+    const uint64_t value = tv.v & mask;
+    const uint64_t taint = nonZeroBytes(tv.t) & mask;
+    const uint64_t old_value = loadLE(&data_[addr], bytes);
+    const uint64_t old_taint = loadLE(&taint_[addr], bytes);
+    const uint64_t changed = (value ^ old_value) | (taint ^ old_taint);
+    if (changed == 0)
+        return;
+    if (undo_active_) {
+        for (unsigned i = 0; i < bytes; ++i) {
+            if (((changed >> (8 * i)) & 0xff) == 0)
+                continue;
+            undo_.push_back(UndoRec{static_cast<uint32_t>(addr + i),
+                                    data_[addr + i], taint_[addr + i]});
+        }
+    }
+    dirty_pages_ |= 1ULL << (addr / kPageBytes);
+    dirty_pages_ |= 1ULL << ((addr + bytes - 1) / kPageBytes);
+    storeLE(&data_[addr], value, bytes);
+    storeLE(&taint_[addr], taint, bytes);
 }
 
 uint32_t
 Memory::fetchWord(uint64_t addr) const
 {
+    if (inImage(addr, 4))
+        return static_cast<uint32_t>(loadLE(&data_[addr], 4));
     uint32_t word = 0;
     for (unsigned i = 0; i < 4; ++i) {
         uint64_t a = addr + i;
@@ -119,20 +253,36 @@ Memory::fetchWord(uint64_t addr) const
 void
 Memory::loadBlock(uint64_t addr, const uint32_t *words, size_t count)
 {
-    for (size_t i = 0; i < count; ++i) {
-        uint32_t word = words[i];
-        for (unsigned b = 0; b < 4; ++b) {
-            setByte(addr + 4 * i + b,
-                    static_cast<uint8_t>(word >> (8 * b)), false);
-        }
-    }
+    for (size_t i = 0; i < count; ++i)
+        write(addr + 4 * i, 4, TV{words[i], 0});
 }
 
 void
 Memory::zeroRange(uint64_t addr, uint64_t bytes)
 {
-    for (uint64_t i = 0; i < bytes; ++i)
-        setByte(addr + i, 0, false);
+    if (addr >= kMemBytes)
+        return;
+    const uint64_t end = addr + std::min(bytes, kMemBytes - addr);
+    uint64_t a = addr;
+    while (a < end) {
+        // Clean pages and whole 64-byte blocks whose data and taint
+        // are all zero are skipped; elsewhere only the non-zero bytes
+        // are stored.
+        if ((dirty_pages_ & (1ULL << (a / kPageBytes))) == 0) {
+            a = std::min((a | (kPageBytes - 1)) + 1, end);
+            continue;
+        }
+        const uint64_t block_end = std::min((a | 63) + 1, end);
+        if (block_end - a == 64 &&
+            (orBlock64(&data_[a]) | orBlock64(&taint_[a])) == 0) {
+            a = block_end;
+            continue;
+        }
+        for (; a < block_end; ++a) {
+            if (data_[a] | taint_[a])
+                setByte(a, 0, false);
+        }
+    }
 }
 
 isa::ExcCause

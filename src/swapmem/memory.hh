@@ -57,6 +57,10 @@ class Memory
     void copyFrom(const Memory &other);
 
     // --- raw byte access (no permission checks) ------------------------
+    // Bytes outside the image read as clean zeros; stores to them are
+    // dropped. A store that leaves a byte's value and taint as they
+    // were is dropped too: it logs no undo record and dirties no page,
+    // so every store path costs in proportion to the bytes it changes.
     uint8_t byte(uint64_t addr) const;
     void setByte(uint64_t addr, uint8_t value, bool tainted);
 
@@ -68,9 +72,13 @@ class Memory
     /** 32-bit instruction fetch word. */
     uint32_t fetchWord(uint64_t addr) const;
 
-    /** Copy a block in (used by the swap runtime packet loader). */
+    /** Store @p count little-endian, untainted words from @p addr. */
     void loadBlock(uint64_t addr, const uint32_t *words, size_t count);
-    /** Zero-fill a range (clears taint as well). */
+    /**
+     * Zero-fill [addr, addr + bytes) clamped to the image, clearing
+     * taint as well. Skips clean pages and scans the rest in 64-byte
+     * blocks word-wide, so only the non-zero bytes are stored.
+     */
     void zeroRange(uint64_t addr, uint64_t bytes);
 
     // --- permissions ----------------------------------------------------
@@ -110,8 +118,9 @@ class Memory
     // --- undo log --------------------------------------------------------
     /**
      * Open an undo window. Rollback restores every byte and taint bit
-     * written since, plus the secret protection, victim placement and
-     * secret-swap flags as they were here (packet loads flip them).
+     * changed since (unchanged stores log nothing), plus the secret
+     * protection, victim placement and secret-swap flags as they were
+     * here (packet loads flip them).
      */
     void beginUndo();
     void rollbackUndo();

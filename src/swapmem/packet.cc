@@ -104,13 +104,16 @@ void
 SwapRuntime::loadCurrent(Memory &mem)
 {
     const SwapPacket &packet = current();
-    mem.zeroRange(kSwapBase, kSwapSize);
-    std::vector<uint32_t> words;
-    words.reserve(packet.instrs.size());
-    for (const auto &instr : packet.instrs)
-        words.push_back(isa::encode(instr));
-    dv_assert(words.size() * 4 <= kSwapSize);
-    mem.loadBlock(kSwapBase, words.data(), words.size());
+    dv_assert(packet.instrs.size() * 4 <= kSwapSize);
+    // Encode straight into the swappable region, then clear whatever
+    // is left past the packet (the previous packet's tail and any
+    // U-mode stores). Unchanged bytes are not stored at all.
+    uint64_t addr = kSwapBase;
+    for (const auto &instr : packet.instrs) {
+        mem.write(addr, 4, ift::TV{isa::encode(instr), 0});
+        addr += 4;
+    }
+    mem.zeroRange(addr, kSwapBase + kSwapSize - addr);
 
     // Update the secret's protection when entering the transient
     // packet (the paper updates permissions after all training).

@@ -3,13 +3,16 @@
  * Property and round-trip tests for the swappable-memory substrate:
  * instruction encode/decode (randomized round trips and
  * decode-stability over arbitrary words), address-space layout
- * invariants, swap-packet/schedule accounting, and the SwapRuntime's
+ * invariants, swap-packet/schedule accounting, the SwapRuntime's
  * packet loads + secret-permission transitions observed through the
- * backing memory.
+ * backing memory (residue clearing, no allocation once warm), and the
+ * Memory store/read paths under the undo log.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <vector>
 
@@ -19,6 +22,34 @@
 #include "swapmem/memory.hh"
 #include "swapmem/packet.hh"
 #include "util/rng.hh"
+
+namespace {
+
+/** Calls of the global operator new in this test binary. */
+uint64_t g_heap_allocs = 0;
+
+} // namespace
+
+void *
+operator new(std::size_t bytes)
+{
+    ++g_heap_allocs;
+    if (void *ptr = std::malloc(bytes == 0 ? 1 : bytes))
+        return ptr;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *ptr) noexcept
+{
+    std::free(ptr);
+}
+
+void
+operator delete(void *ptr, std::size_t) noexcept
+{
+    std::free(ptr);
+}
 
 namespace dejavuzz {
 namespace {
@@ -328,27 +359,41 @@ TEST(SwapSchedule, OverheadAccountingAndReduction)
     EXPECT_EQ(schedule.packets.size(), 3u);
 }
 
-TEST(SwapRuntime, PacketLoadsRoundTripThroughMemory)
+/** A schedule of one packet per kind, each of 1..@p max_instrs random
+ *  instructions; @p expected receives every packet's instructions. */
+swapmem::SwapSchedule
+randomSchedule(Rng &rng, size_t max_instrs,
+               std::vector<std::vector<Instr>> &expected)
 {
     using swapmem::PacketKind;
-    Rng rng(0x5aa9);
     const auto &specs = opSpecs();
-
     swapmem::SwapSchedule schedule;
     schedule.transient_prot = swapmem::SecretProt::Pmp;
-    std::vector<std::vector<Instr>> expected;
     const PacketKind kinds[] = {PacketKind::TriggerTrain,
                                 PacketKind::WindowTrain,
                                 PacketKind::Transient};
     for (PacketKind kind : kinds) {
         std::vector<Instr> instrs;
-        const size_t count = 1 + rng.below(16);
+        const size_t count = 1 + rng.below(max_instrs);
         for (size_t i = 0; i < count; ++i)
             instrs.push_back(randomInstr(rng, rng.pick(specs)));
         expected.push_back(instrs);
         schedule.packets.push_back(
             makePacket(kind, std::move(instrs), "pkt"));
     }
+    return schedule;
+}
+
+TEST(SwapRuntime, PacketLoadsRoundTripThroughMemory)
+{
+    using swapmem::PacketKind;
+    Rng rng(0x5aa9);
+    std::vector<std::vector<Instr>> expected;
+    const swapmem::SwapSchedule schedule =
+        randomSchedule(rng, 16, expected);
+
+    // Addresses of residue planted before the next load.
+    std::vector<uint64_t> residue;
 
     swapmem::Memory mem;
     swapmem::SwapRuntime runtime(schedule);
@@ -365,11 +410,24 @@ TEST(SwapRuntime, PacketLoadsRoundTripThroughMemory)
                 mem.fetchWord(swapmem::kSwapBase + 4 * i);
             EXPECT_TRUE(isa::decode(word) == expected[p][i])
                 << "packet " << p << " instr " << i;
+            EXPECT_EQ(mem.read(swapmem::kSwapBase + 4 * i, 4).t, 0u)
+                << "packet " << p << " instr " << i;
         }
         // Words past the packet are zeroed by the reload.
         const uint32_t after = mem.fetchWord(
             swapmem::kSwapBase + 4 * expected[p].size());
         EXPECT_EQ(after, 0u);
+        // So is the residue planted before this load, wherever the
+        // new packet does not cover it.
+        const uint64_t end = swapmem::kSwapBase + 4 * expected[p].size();
+        for (uint64_t addr : residue) {
+            EXPECT_EQ(mem.read(addr, 1).t, 0u)
+                << "packet " << p << " residue at " << addr;
+            if (addr >= end) {
+                EXPECT_EQ(mem.byte(addr), 0u)
+                    << "packet " << p << " residue at " << addr;
+            }
+        }
 
         // The secret opens up for training and locks down exactly
         // when the transient packet is entered.
@@ -379,10 +437,52 @@ TEST(SwapRuntime, PacketLoadsRoundTripThroughMemory)
                   transient ? swapmem::SecretProt::Pmp
                             : swapmem::SecretProt::Open)
             << "packet " << p;
+
+        // Plant residue the next load must clear: tainted non-zero
+        // bytes just past this packet's end (U-mode stores may write
+        // the swappable region) and in the region's last word.
+        residue.clear();
+        for (unsigned i = 0; i < 8; ++i)
+            residue.push_back(end + rng.below(96));
+        for (uint64_t i = 1; i <= 4; ++i)
+            residue.push_back(swapmem::kSwapBase + swapmem::kSwapSize - i);
+        for (uint64_t addr : residue)
+            mem.setByte(addr, static_cast<uint8_t>(1 + rng.below(255)),
+                        true);
+        // A tainted zero byte too: zero data alone is not clean.
+        residue.push_back(end + 96 + rng.below(32));
+        mem.setByte(residue.back(), 0, true);
         entry = runtime.advance(mem);
     }
     EXPECT_TRUE(runtime.done());
     EXPECT_EQ(entry, 0u);
+}
+
+TEST(SwapRuntime, WarmPacketLoadsDoNotAllocate)
+{
+    // The allocation-free steady state covers packet loads: once one
+    // run over a schedule has warmed the memory, start and every
+    // advance allocate nothing.
+    Rng rng(0xa110c);
+    std::vector<std::vector<Instr>> expected;
+    const swapmem::SwapSchedule schedule =
+        randomSchedule(rng, 256, expected);
+    swapmem::Memory mem;
+    swapmem::SwapRuntime warm(schedule);
+    warm.start(mem);
+    while (!warm.done())
+        warm.advance(mem);
+
+    swapmem::SwapRuntime runtime(schedule);
+    uint64_t before = g_heap_allocs;
+    runtime.start(mem);
+    EXPECT_EQ(g_heap_allocs - before, 0u) << "start";
+    while (!runtime.done()) {
+        const size_t cursor = runtime.cursor();
+        before = g_heap_allocs;
+        runtime.advance(mem);
+        EXPECT_EQ(g_heap_allocs - before, 0u) << "advance from " << cursor;
+    }
 }
 
 // --- memory undo log ----------------------------------------------------
@@ -415,83 +515,199 @@ observe(const swapmem::Memory &mem)
     return state;
 }
 
-/** An address biased toward the secret block, occasionally out of
- *  the image (stores there are dropped). */
+/** An address biased toward the secret block, page boundaries and
+ *  the image end, occasionally out of the image (stores there are
+ *  dropped). */
 uint64_t
 randomAddr(Rng &rng)
 {
-    switch (rng.below(4)) {
+    constexpr uint64_t kPages = swapmem::kMemBytes / swapmem::kPageBytes;
+    switch (rng.below(5)) {
       case 0:
         return swapmem::kSecretAddr + rng.below(swapmem::kSecretBytes);
       case 1:
         return swapmem::kMemBytes - 8 + rng.below(16);
+      case 2:
+        // Just below a page boundary, so wide stores straddle it.
+        return (1 + rng.below(kPages - 1)) * swapmem::kPageBytes - 1 -
+               rng.below(8);
       default:
         return rng.below(swapmem::kMemBytes);
     }
 }
 
-/** One random Memory mutation: a byte-level store or a flag flip. */
-void
+/** The TV a width-@p width store of @p tv leaves behind: value bytes
+ *  as given, each taint byte widened to 0x00/0xff. */
+ift::TV
+storedView(ift::TV tv, unsigned width)
+{
+    ift::TV view;
+    for (unsigned i = 0; i < width; ++i) {
+        view.v |= ((tv.v >> (8 * i)) & 0xff) << (8 * i);
+        if ((tv.t >> (8 * i)) & 0xff)
+            view.t |= 0xffULL << (8 * i);
+    }
+    return view;
+}
+
+/**
+ * One random Memory mutation: a store, a block load or zero fill
+ * (sometimes spanning pages or running past the image end), a no-op
+ * store of the bytes already there, or a flag flip. Each store is
+ * read back. Returns the address it stored at (a random one for flag
+ * flips).
+ */
+uint64_t
 mutate(swapmem::Memory &mem, Rng &rng)
 {
-    switch (rng.below(7)) {
-      case 0:
-        mem.setByte(randomAddr(rng), static_cast<uint8_t>(rng.next()),
-                    rng.chance(1, 2));
-        break;
-      case 1: {
-        const unsigned widths[] = {1, 2, 4, 8};
-        mem.write(randomAddr(rng), widths[rng.below(4)],
-                  ift::TV{rng.next(), rng.chance(1, 2) ? rng.next() : 0});
+    const unsigned widths[] = {1, 2, 4, 8};
+    const unsigned width = widths[rng.below(4)];
+    const uint64_t addr = randomAddr(rng);
+    const bool in_image = addr + width <= swapmem::kMemBytes;
+    const size_t words = rng.chance(1, 4) ? 1 + rng.below(2048)
+                                          : 1 + rng.below(32);
+    std::vector<uint32_t> block(words);
+    const ift::TV old = mem.read(addr, 8);
+    const uint64_t kind = rng.below(11);
+    switch (kind) {
+      case 0: {
+        const ift::TV tv{rng.next(), rng.chance(1, 2) ? rng.next() : 0};
+        mem.setByte(addr, static_cast<uint8_t>(tv.v), tv.t & 1);
+        if (in_image) {
+            EXPECT_EQ(mem.read(addr, 1), storedView({tv.v, tv.t & 1}, 1))
+                << "setByte(" << addr << ")";
+        }
         break;
       }
+      case 1:
       case 2: {
-        std::vector<uint32_t> words(1 + rng.below(32));
-        for (uint32_t &word : words)
-            word = static_cast<uint32_t>(rng.next());
-        mem.loadBlock(randomAddr(rng), words.data(), words.size());
+        // Case 2 keeps the value and often sets one taint bit only,
+        // so any bit of a taint byte must count.
+        uint64_t taint = rng.chance(1, 2) ? rng.next() : 0;
+        if (kind == 2 && rng.chance(1, 2))
+            taint = 1ULL << rng.below(8 * width);
+        const ift::TV tv{kind == 1 ? rng.next() : mem.read(addr, width).v,
+                         taint};
+        mem.write(addr, width, tv);
+        if (in_image) {
+            EXPECT_EQ(mem.read(addr, width), storedView(tv, width))
+                << "write(" << addr << ", " << width << ")";
+        }
         break;
       }
       case 3:
-        mem.zeroRange(randomAddr(rng), rng.below(256));
-        break;
       case 4:
+        // Case 4 writes the current words back: a no-op wherever the
+        // bytes are untainted, a taint clear elsewhere.
+        for (size_t i = 0; i < block.size(); ++i) {
+            block[i] = kind == 3 ? static_cast<uint32_t>(rng.next())
+                                 : mem.fetchWord(addr + 4 * i);
+        }
+        mem.loadBlock(addr, block.data(), block.size());
+        for (size_t i = 0; i < block.size(); ++i) {
+            const uint64_t a = addr + 4 * i;
+            if (a + 4 <= swapmem::kMemBytes) {
+                EXPECT_EQ(mem.read(a, 4), (ift::TV{block[i], 0}))
+                    << "loadBlock word at " << a;
+            }
+        }
+        break;
+      case 5:
+        mem.zeroRange(addr, 4 * words);
+        for (uint64_t a = addr;
+             a < addr + 4 * words && a < swapmem::kMemBytes; ++a) {
+            EXPECT_EQ(mem.read(a, 1), (ift::TV{0, 0}))
+                << "zeroRange byte at " << a;
+        }
+        break;
+      case 6:
+        mem.setByte(addr, mem.byte(addr), mem.read(addr, 1).t != 0);
+        EXPECT_EQ(mem.read(addr, 8), old) << "no-op setByte(" << addr << ")";
+        break;
+      case 7:
+        mem.write(addr, width, mem.read(addr, width));
+        EXPECT_EQ(mem.read(addr, 8), old)
+            << "no-op write(" << addr << ", " << width << ")";
+        break;
+      case 8:
         mem.setSecretProt(
             static_cast<swapmem::SecretProt>(rng.below(3)));
         break;
-      case 5:
+      case 9:
         mem.setVictimSupervisor(rng.chance(1, 2));
         break;
       default:
         mem.applySecretSwap();
         break;
     }
+    return addr;
+}
+
+/** read() at widths 2/4/8 and fetchWord() at @p addr agree with the
+ *  view assembled byte by byte from byte() and read(·, 1). */
+void
+expectWideReadsMatchBytes(const swapmem::Memory &mem, uint64_t addr)
+{
+    for (unsigned width : {2u, 4u, 8u}) {
+        ift::TV view;
+        for (unsigned i = 0; i < width; ++i) {
+            view.v |= uint64_t{mem.byte(addr + i)} << (8 * i);
+            view.t |= (mem.read(addr + i, 1).t & 0xff) << (8 * i);
+        }
+        const ift::TV tv = mem.read(addr, width);
+        EXPECT_EQ(tv.v, view.v) << "read(" << addr << ", " << width << ")";
+        EXPECT_EQ(tv.t, view.t) << "read(" << addr << ", " << width << ")";
+        if (width == 4) {
+            EXPECT_EQ(mem.fetchWord(addr), view.v)
+                << "fetchWord(" << addr << ")";
+        }
+    }
+}
+
+/** Mutate, then check wide reads at the stored address, unaligned
+ *  just below it, and at a random (often edge) address. */
+void
+mutateAndCheckReads(swapmem::Memory &mem, Rng &rng)
+{
+    const uint64_t addr = mutate(mem, rng);
+    expectWideReadsMatchBytes(mem, addr);
+    expectWideReadsMatchBytes(mem, addr - 1 - rng.below(7));
+    expectWideReadsMatchBytes(mem, randomAddr(rng));
 }
 
 TEST(MemoryUndo, RollbackRestoresBytesTaintAndFlags)
 {
     // Property: whatever happens inside an undo window — stores,
-    // packet-style block loads and zero fills, secret-protection,
-    // victim-placement and secret-swap flips — rollbackUndo restores
-    // the exact state at beginUndo, flags included; discardUndo keeps
-    // the window's changes.
+    // no-op stores, packet-style block loads and zero fills across
+    // pages and the image end, secret-protection, victim-placement
+    // and secret-swap flips — rollbackUndo restores the exact state
+    // at beginUndo, flags included; discardUndo keeps the window's
+    // changes. Wide reads agree with the byte view throughout, and
+    // reset() and copyFrom() see every page a store wrote.
     Rng rng(0x0d0109);
     swapmem::Memory mem;
+    swapmem::Memory copy;
+    const MemState pristine = observe(mem);
     unsigned flag_flips = 0;
     for (int trial = 0; trial < 60; ++trial) {
+        // reset() and copyFrom() touch only dirty pages, so these
+        // checks also catch a store that failed to mark a page.
         mem.reset();
+        EXPECT_TRUE(observe(mem) == pristine) << "trial " << trial;
         uint8_t secret[swapmem::kSecretBytes];
         for (uint8_t &byte : secret)
             byte = static_cast<uint8_t>(rng.next());
         mem.installSecret(secret, sizeof(secret));
         for (unsigned i = rng.below(8); i > 0; --i)
-            mutate(mem, rng);
+            mutateAndCheckReads(mem, rng);
         const MemState before = observe(mem);
 
         mem.beginUndo();
         for (unsigned i = 1 + rng.below(24); i > 0; --i)
-            mutate(mem, rng);
+            mutateAndCheckReads(mem, rng);
         const MemState after = observe(mem);
+        copy.copyFrom(mem);
+        EXPECT_TRUE(observe(copy) == after) << "trial " << trial;
         flag_flips += after.prot != before.prot ||
                       after.victim_supervisor != before.victim_supervisor ||
                       after.secret_swapped != before.secret_swapped;

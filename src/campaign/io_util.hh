@@ -115,8 +115,7 @@ uint32_t crc32(const void *data, size_t size, uint32_t seed = 0);
  * directory generation the artifact belongs to, the payload length,
  * and a CRC-32 over the payload. 32 bytes, little-endian. The
  * trailer lives at the *file* layer — the payload parsers
- * (corpus_io, snapshot_io) never see it, and standalone artifacts
- * (`--corpus-out`) stay raw.
+ * (corpus_io, snapshot_io) never see it.
  */
 constexpr char kTrailerMagic[9] = "DVZTRLR1";
 constexpr size_t kTrailerBytes = 8 + 8 + 8 + 4 + 4; // magic,gen,len,crc,pad

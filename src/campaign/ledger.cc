@@ -70,20 +70,6 @@ BugLedger::entries() const
     return out;
 }
 
-bool
-BugLedger::annotate(const std::string &key,
-                    const std::string &cluster,
-                    std::vector<std::string> reproduces_on)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = records_.find(key);
-    if (it == records_.end())
-        return false;
-    it->second.cluster = cluster;
-    it->second.reproduces_on = std::move(reproduces_on);
-    return true;
-}
-
 std::vector<std::string>
 BugLedger::keys() const
 {

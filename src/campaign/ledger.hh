@@ -40,10 +40,10 @@ struct BugRecord
     std::string config;       ///< first reporter's core config name
     std::string variant;      ///< first reporter's ablation variant
 
-    /** Triage annotations (filled by triage::annotateLedger after a
-     *  `--triage` pass; empty on a freshly-recorded ledger). They are
-     *  derived data — persisted in triage.jsonl, not in the binary
-     *  snapshot, so the checkpoint format is unchanged. */
+    /** Triage annotations (filled in the copy triage::triageLedger
+     *  returns as TriageResult::ledger; empty on a recorded ledger).
+     *  They are derived data — persisted in triage.jsonl, not in the
+     *  binary snapshot, so the checkpoint format is unchanged. */
     std::string cluster;      ///< cluster id this signature belongs to
     /** Registered core configs the bug replays on (portability
      *  matrix row), in registry order. */
@@ -84,14 +84,6 @@ class BugLedger
 
     /** The sorted signature set (for equivalence checks). */
     std::vector<std::string> keys() const;
-
-    /**
-     * Attach triage results to the record with signature @p key:
-     * the cluster id it was assigned and the configs its reproducer
-     * replays on. Returns false when the key is not in the ledger.
-     */
-    bool annotate(const std::string &key, const std::string &cluster,
-                  std::vector<std::string> reproduces_on);
 
   private:
     mutable std::mutex mu_;

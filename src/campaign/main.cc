@@ -7,21 +7,21 @@
  *   dejavuzz --workers 4 --iters 4000 --out campaign.jsonl
  *   dejavuzz --workers 8 --policy sweep --seconds 60
  *   dejavuzz --workers 5 --policy ablation --core boom
- *   dejavuzz --workers 4 --iters 4000 --corpus-out day1.corpus
- *   dejavuzz --workers 4 --iters 4000 --corpus-in day1.corpus
  *   dejavuzz --workers 4 --iters 4000 --campaign-dir day1 --minimize
  *   dejavuzz --workers 4 --iters 8000 --campaign-dir day1   # resume
+ *   dejavuzz --workers 4 --iters 4000 --master-seed 2 \
+ *            --corpus-in day1 --campaign-dir day2           # seeded
  *
  * The JSONL log (stdout by default) carries worker, trigger, epoch,
  * bug and summary records (docs/campaign-format.md); the
- * human-readable digest goes to stderr. --corpus-out persists the
- * shared corpus so a later --corpus-in campaign resumes from it.
- * --campaign-dir persists the log, corpus, coverage/ledger snapshot
- * and a meta.json under one directory; pointing a matching
- * invocation at it later continues the campaign exactly where it
- * stopped (a mismatched invocation errors out instead of
- * overwriting). dejavuzz-replay re-executes the directory's bug
- * ledger as a regression suite.
+ * human-readable digest goes to stderr. --campaign-dir persists the
+ * log, corpus, coverage/ledger snapshot and a meta.json under one
+ * directory; pointing a matching invocation at it later continues
+ * the campaign exactly where it stopped (a mismatched invocation
+ * errors out instead of overwriting). --corpus-in seeds a new
+ * campaign with a saved directory's corpus. dejavuzz-replay
+ * re-executes a directory's bug ledger as a regression suite and
+ * triages it.
  */
 
 #include <cstdio>
@@ -30,13 +30,13 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "campaign/campaign_dir.hh"
 #include "campaign/faults.hh"
 #include "campaign/orchestrator.hh"
 #include "core/seed.hh"
 #include "obs/telemetry.hh"
-#include "triage/triage.hh"
 #include "uarch/config.hh"
 #include "util/parse.hh"
 
@@ -99,22 +99,15 @@ usage(const char *argv0)
         "short-write torn-rename enospc; docs/robustness.md)\n"
         "  --master-seed X    campaign master seed (default 1)\n"
         "  --out PATH         JSONL output file (default stdout)\n"
-        "  --corpus-in PATH   resume from a saved corpus file\n"
-        "  --corpus-out PATH  persist the final corpus to a file\n"
+        "  --corpus-in DIR    seed a new campaign with the corpus "
+        "of the campaign directory DIR (read only)\n"
         "  --campaign-dir DIR self-contained campaign directory "
         "(log + corpus + snapshot + meta.json); resumes the saved\n"
         "                     campaign when DIR already holds one "
         "with a matching configuration\n"
-        "  --minimize         distill the corpus before saving "
-        "(drop content duplicates and coverage-subsumed entries)\n"
-        "  --triage           after saving, cluster the bug ledger "
-        "and write DIR/triage.jsonl (needs --campaign-dir)\n"
-        "  --no-matrix        with --triage: skip the cross-config "
-        "portability matrix\n"
-        "  --emit-pocs        with --triage: shrink one standalone "
-        "PoC per cluster into DIR/pocs/\n"
-        "  --threshold X      cluster similarity threshold in [0,1] "
-        "(default 0.5)\n"
+        "  --minimize         with --campaign-dir: distill the "
+        "corpus before saving (drop content duplicates and\n"
+        "                     coverage-subsumed entries)\n"
         "  --trace-out PATH   write a Chrome trace-event JSON of "
         "the run (open in Perfetto; docs/observability.md)\n"
         "  --heartbeat-sec S  append a telemetry heartbeat record "
@@ -134,18 +127,13 @@ main(int argc, char **argv)
     CampaignOptions options;
     options.base_config = dejavuzz::uarch::smallBoomConfig();
     std::string out_path;
-    std::string corpus_in_path;
-    std::string corpus_out_path;
+    std::string corpus_in_dir;
     std::string campaign_dir;
     std::string trace_out_path;
     std::string fault_spec;
     bool minimize = false;
     bool templates_flag = false;
     bool quiet = false;
-    bool triage = false;
-    bool matrix = true;
-    bool emit_pocs = false;
-    double threshold = 0.5;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -260,9 +248,7 @@ main(int argc, char **argv)
         } else if (arg == "--out") {
             out_path = value();
         } else if (arg == "--corpus-in") {
-            corpus_in_path = value();
-        } else if (arg == "--corpus-out") {
-            corpus_out_path = value();
+            corpus_in_dir = value();
         } else if (arg == "--campaign-dir") {
             campaign_dir = value();
         } else if (arg == "--trace-out") {
@@ -274,18 +260,6 @@ main(int argc, char **argv)
             }
         } else if (arg == "--minimize") {
             minimize = true;
-        } else if (arg == "--triage") {
-            triage = true;
-        } else if (arg == "--no-matrix") {
-            matrix = false;
-        } else if (arg == "--emit-pocs") {
-            triage = true;
-            emit_pocs = true;
-        } else if (arg == "--threshold") {
-            if (!parseDouble(value(), threshold) ||
-                threshold < 0.0 || threshold > 1.0) {
-                bad();
-            }
         } else if (arg == "--quiet") {
             quiet = true;
         } else {
@@ -310,32 +284,32 @@ main(int argc, char **argv)
                      "sets and cannot be combined with it\n");
         return 2;
     }
-    if (!campaign_dir.empty() &&
-        (!out_path.empty() || !corpus_in_path.empty() ||
-         !corpus_out_path.empty())) {
+    if (!campaign_dir.empty() && !out_path.empty()) {
         std::fprintf(stderr,
-                     "--campaign-dir manages its own log and corpus; "
-                     "it cannot be combined with --out, --corpus-in "
-                     "or --corpus-out\n");
+                     "--campaign-dir writes its own log; it cannot be "
+                     "combined with --out\n");
         return 2;
     }
-    if (minimize && campaign_dir.empty() &&
-        corpus_out_path.empty()) {
+    if (minimize && campaign_dir.empty()) {
         std::fprintf(stderr,
-                     "--minimize needs a corpus destination "
-                     "(--corpus-out or --campaign-dir)\n");
-        return 2;
-    }
-    if (triage && campaign_dir.empty()) {
-        std::fprintf(stderr,
-                     "--triage/--emit-pocs need a --campaign-dir to "
-                     "write triage.jsonl and pocs/ into\n");
+                     "--minimize distills the corpus a campaign "
+                     "directory saves; it needs --campaign-dir\n");
         return 2;
     }
     if (options.autosave_sec > 0.0 && campaign_dir.empty()) {
         std::fprintf(stderr,
                      "--autosave-sec checkpoints into a campaign "
                      "directory; it needs --campaign-dir\n");
+        return 2;
+    }
+    if (!corpus_in_dir.empty() && !campaign_dir.empty() &&
+        dejavuzz::campaign::campaignDirExists(campaign_dir)) {
+        // The resumed checkpoint already holds whatever a previous
+        // --corpus-in admitted; preloading again would double it.
+        std::fprintf(stderr,
+                     "--corpus-in seeds a new campaign; --campaign-dir "
+                     "%s already holds one to resume\n",
+                     campaign_dir.c_str());
         return 2;
     }
     if (!fault_spec.empty()) {
@@ -345,6 +319,27 @@ main(int argc, char **argv)
                          error.c_str());
             return 2;
         }
+    }
+
+    // Load --corpus-in before touching any output path: opening the
+    // outputs truncates them, and a bad seed directory must not
+    // destroy a previous run's log. The seed directory is only read
+    // (integrity-checked, with the torn-generation fallback), never
+    // swept or written.
+    dejavuzz::campaign::CorpusFile seed_corpus;
+    if (!corpus_in_dir.empty()) {
+        dejavuzz::campaign::LoadedCampaignDir seed;
+        std::string error;
+        std::string note;
+        if (!dejavuzz::campaign::loadCampaignDir(corpus_in_dir, seed,
+                                                 &error, &note)) {
+            std::fprintf(stderr, "cannot read --corpus-in %s: %s\n",
+                         corpus_in_dir.c_str(), error.c_str());
+            return 1;
+        }
+        if (!note.empty())
+            std::fprintf(stderr, "corpus-in: %s\n", note.c_str());
+        seed_corpus = std::move(seed.corpus);
     }
 
     // Resolve the campaign directory up front: a directory holding a
@@ -425,30 +420,9 @@ main(int argc, char **argv)
         }
     };
 
-    // Validate --corpus-in before touching any output path: opening
-    // the outputs truncates them, and a bad resume file must not
-    // destroy a previous run's log/corpus.
-    dejavuzz::campaign::CorpusFile resume;
-    if (!corpus_in_path.empty()) {
-        std::ifstream corpus_in(corpus_in_path,
-                                std::ios::in | std::ios::binary);
-        if (!corpus_in) {
-            std::fprintf(stderr, "cannot open --corpus-in %s\n",
-                         corpus_in_path.c_str());
-            return 1;
-        }
-        std::string error;
-        if (!dejavuzz::campaign::SharedCorpus::loadFrom(
-                corpus_in, resume, &error)) {
-            std::fprintf(stderr, "bad corpus file %s: %s\n",
-                         corpus_in_path.c_str(), error.c_str());
-            return 1;
-        }
-    }
-
     // Open every output before the campaign runs: an unwritable
-    // --out or --corpus-out must fail up front, not after minutes of
-    // fuzzing whose results would then be lost.
+    // --out must fail up front, not after minutes of fuzzing whose
+    // results would then be lost.
     std::ofstream out_file;
     if (!out_path.empty()) {
         out_file.open(out_path,
@@ -456,18 +430,6 @@ main(int argc, char **argv)
         if (!out_file) {
             std::fprintf(stderr, "cannot open --out %s for writing\n",
                          out_path.c_str());
-            return 1;
-        }
-    }
-    std::ofstream corpus_out_file;
-    if (!corpus_out_path.empty()) {
-        corpus_out_file.open(corpus_out_path,
-                             std::ios::out | std::ios::trunc |
-                                 std::ios::binary);
-        if (!corpus_out_file) {
-            std::fprintf(stderr,
-                         "cannot open --corpus-out %s for writing\n",
-                         corpus_out_path.c_str());
             return 1;
         }
     }
@@ -553,17 +515,17 @@ main(int argc, char **argv)
             return 0;
         }
     }
-    if (!corpus_in_path.empty()) {
+    if (!corpus_in_dir.empty()) {
         uint64_t admitted =
-            orchestrator.preloadCorpus(resume.entries);
+            orchestrator.preloadCorpus(seed_corpus.entries);
         if (!quiet) {
             std::fprintf(stderr,
-                "corpus: resumed %llu of %zu entries from %s "
+                "corpus: preloaded %llu of %zu entries from %s "
                 "(saved by master seed %llu)\n",
                 static_cast<unsigned long long>(admitted),
-                resume.entries.size(), corpus_in_path.c_str(),
+                seed_corpus.entries.size(), corpus_in_dir.c_str(),
                 static_cast<unsigned long long>(
-                    resume.master_seed));
+                    seed_corpus.master_seed));
         }
     }
 
@@ -652,48 +614,6 @@ main(int argc, char **argv)
             std::error_code ec;
             std::filesystem::remove(live_log_path, ec);
         }
-        if (triage) {
-            namespace tr = dejavuzz::triage;
-            tr::TriageOptions topts;
-            topts.cluster.threshold = threshold;
-            topts.matrix = matrix;
-            topts.emit_pocs = emit_pocs;
-            tr::FuzzerCache fuzzers;
-            tr::TriageResult result = tr::triageLedger(
-                orchestrator.ledger().entries(), topts, fuzzers);
-            tr::annotateLedger(orchestrator.ledger(), result);
-
-            const std::string jsonl_path =
-                campaign_dir + "/triage.jsonl";
-            std::ofstream jsonl(jsonl_path,
-                                std::ios::out | std::ios::trunc);
-            if (!jsonl) {
-                std::fprintf(stderr, "cannot open %s\n",
-                             jsonl_path.c_str());
-                return 1;
-            }
-            tr::writeTriageJsonl(jsonl, result);
-            jsonl.flush();
-            if (!jsonl) {
-                std::fprintf(stderr, "write to %s failed\n",
-                             jsonl_path.c_str());
-                return 1;
-            }
-            if (emit_pocs &&
-                !tr::writePocs(campaign_dir, result, &error)) {
-                std::fprintf(stderr, "cannot write PoCs: %s\n",
-                             error.c_str());
-                return 1;
-            }
-            if (!quiet) {
-                std::fprintf(
-                    stderr,
-                    "triage: %zu bugs -> %zu clusters, %zu PoCs "
-                    "(%s)\n",
-                    result.ledger.size(), result.clusters.size(),
-                    result.pocs.size(), jsonl_path.c_str());
-            }
-        }
     } else if (!out_path.empty()) {
         orchestrator.writeJsonl(out_file);
         out_file.flush();
@@ -704,16 +624,6 @@ main(int argc, char **argv)
         }
     } else {
         orchestrator.writeJsonl(std::cout);
-    }
-
-    if (!corpus_out_path.empty()) {
-        if (!orchestrator.corpus().saveTo(corpus_out_file,
-                                          options.master_seed)) {
-            std::fprintf(stderr,
-                         "write to --corpus-out %s failed\n",
-                         corpus_out_path.c_str());
-            return 1;
-        }
     }
 
     if (!quiet) {
@@ -753,14 +663,12 @@ main(int argc, char **argv)
                     stats.kinds_disabled));
         }
         for (const auto &record : orchestrator.ledger().entries()) {
-            std::fprintf(stderr, "  bug [w%u e%llu x%llu]%s%s %s\n",
+            std::fprintf(stderr, "  bug [w%u e%llu x%llu] %s\n",
                          record.worker,
                          static_cast<unsigned long long>(
                              record.epoch),
                          static_cast<unsigned long long>(
                              record.hits),
-                         record.cluster.empty() ? "" : " ",
-                         record.cluster.c_str(),
                          record.report.describe().c_str());
         }
     }

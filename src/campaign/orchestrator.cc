@@ -836,7 +836,7 @@ CampaignOrchestrator::syncEpoch(uint64_t epoch)
     // individually, so the barrier never deep-copies the whole
     // corpus. A single-worker fleet still steals when the corpus was
     // preloaded from a saved campaign — that is what makes
-    // --corpus-in resume the run.
+    // a --corpus-in campaign build on the saved seeds.
     if (shards_.size() < 2 && preloaded_ids_.empty())
         return;
     std::vector<CorpusKey> snapshot = corpus_.snapshotKeys();

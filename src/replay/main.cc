@@ -22,8 +22,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -32,6 +30,7 @@
 #include "obs/telemetry.hh"
 #include "replay/replay.hh"
 #include "triage/triage.hh"
+#include "util/parse.hh"
 
 namespace {
 
@@ -44,14 +43,14 @@ usage(const char *argv0)
         "  --require-bugs   fail when the ledger is empty (CI gate)\n"
         "  --triage         cluster the ledger and write "
         "CAMPAIGN_DIR/triage.jsonl\n"
-        "  --matrix         with --triage: replay every bug on every\n"
-        "                   registered core config (default on)\n"
         "  --no-matrix      with --triage: skip the portability "
         "matrix\n"
+        "                   (replaying every bug on every "
+        "registered core config)\n"
         "  --emit-pocs      with --triage: shrink one PoC per "
         "cluster\n"
         "                   into CAMPAIGN_DIR/pocs/\n"
-        "  --threshold X    cluster similarity threshold "
+        "  --threshold X    cluster similarity threshold in [0,1] "
         "(default 0.5)\n"
         "  --poc FILE       replay a standalone PoC file "
         "(repeatable;\n"
@@ -132,8 +131,6 @@ main(int argc, char **argv)
             require_bugs = true;
         } else if (arg == "--triage") {
             triage = true;
-        } else if (arg == "--matrix") {
-            matrix = true;
         } else if (arg == "--no-matrix") {
             matrix = false;
         } else if (arg == "--emit-pocs") {
@@ -144,11 +141,8 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "--threshold needs a value\n");
                 return 2;
             }
-            char *end = nullptr;
-            threshold = std::strtod(argv[++i], &end);
-            // The negated range test also rejects nan.
-            if (!end || *end != '\0' ||
-                !(threshold >= 0.0 && threshold <= 1.0)) {
+            if (!dejavuzz::parseDouble(argv[++i], threshold) ||
+                threshold < 0.0 || threshold > 1.0) {
                 std::fprintf(stderr,
                              "--threshold must be in [0, 1]\n");
                 return 2;

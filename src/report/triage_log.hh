@@ -3,8 +3,7 @@
  * Typed ingestion of `triage.jsonl` (docs/campaign-format.md).
  *
  * A triage log is the flat-JSONL artifact `dejavuzz-replay --triage`
- * (or `dejavuzz --triage`) drops next to a campaign directory's
- * snapshot: one `record:"cluster"` line per signature cluster, one
+ * drops next to a campaign directory's snapshot: one `record:"cluster"` line per signature cluster, one
  * `record:"portability"` line per (bug, core-config) replay cell and
  * one `record:"poc"` line per emitted minimized PoC.
  * parseTriageLog() validates the schema strictly — unknown record

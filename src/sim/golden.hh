@@ -3,10 +3,11 @@
  * Golden architectural simulator (the paper's "ISA simulator").
  *
  * Executes the supported RV64 subset with precise architectural
- * semantics: no speculation, no microarchitectural state. The
- * stimulus generator uses it to compute the operands a trigger needs
- * (branch outcomes, jump targets, faulting addresses) and to predict
- * where a packet architecturally ends.
+ * semantics: no speculation, no microarchitectural state. It is the
+ * architectural reference the out-of-order core is tested against
+ * (the committed PC/op stream and register results of a program);
+ * the fuzzer itself does not call it — stimulus operands come from
+ * StimGen::fillOperands.
  */
 
 #ifndef DEJAVUZZ_SIM_GOLDEN_HH

@@ -183,14 +183,4 @@ writePocs(const std::string &dir, const TriageResult &result,
     return true;
 }
 
-void
-annotateLedger(campaign::BugLedger &ledger,
-               const TriageResult &result)
-{
-    for (const campaign::BugRecord &record : result.ledger) {
-        ledger.annotate(record.report.key(), record.cluster,
-                        record.reproduces_on);
-    }
-}
-
 } // namespace dejavuzz::triage

@@ -89,10 +89,6 @@ void writeTriageJsonl(std::ostream &os, const TriageResult &result);
 bool writePocs(const std::string &dir, const TriageResult &result,
                std::string *error = nullptr);
 
-/** Copy @p result's annotations back onto a live ledger. */
-void annotateLedger(campaign::BugLedger &ledger,
-                    const TriageResult &result);
-
 } // namespace dejavuzz::triage
 
 #endif // DEJAVUZZ_TRIAGE_TRIAGE_HH

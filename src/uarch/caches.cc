@@ -1,5 +1,6 @@
 #include "uarch/caches.hh"
 
+#include "swapmem/memory.hh"
 #include "util/logging.hh"
 
 namespace dejavuzz::uarch {
@@ -230,7 +231,7 @@ DCache::mshrDone(int index) const
 }
 
 void
-DCache::tick(const std::vector<TV> &refill_data)
+DCache::tick(const swapmem::Memory &backing)
 {
     bool any_busy = false;
     for (size_t i = 0; i < mshrs_.size(); ++i) {
@@ -244,7 +245,7 @@ DCache::tick(const std::vector<TV> &refill_data)
         // LFB. The MSHR then invalidates itself - its valid bit is the
         // LFB entry's liveness signal, so the (possibly secret-
         // tainted) LFB data is now dead but still present.
-        TV data = i < refill_data.size() ? refill_data[i] : TV{};
+        TV data = backing.read(entry.addr.v & ~7ULL, 8);
         if (!entry.faulting) {
             Line &slot = tags_[indexOf(entry.line)];
             ift::TaintContrib before = maskContrib(slot.taint);
@@ -279,25 +280,23 @@ DCache::storeUpdate(uint64_t addr, TV data)
     }
 }
 
-void
-DCache::validLines(std::vector<uint64_t> &lines) const
-{
-    lines.clear();
-    for (const Line &slot : tags_) {
-        if (slot.valid)
-            lines.push_back(slot.tag);
-    }
-}
-
 uint64_t
-DCache::lfbDataHash() const
+DCache::dataHash(const swapmem::Memory &backing) const
 {
     uint64_t hash = kFnvOffset;
-    for (const LfbEntry &entry : lfbs_) {
-        hash = fnv1a(hash, entry.line);
-        hash = fnv1a(hash, entry.data.v);
+    for (const Line &slot : tags_) {
+        if (!slot.valid)
+            continue;
+        const uint64_t base = slot.tag * kLineBytes;
+        for (unsigned off = 0; off < kLineBytes; off += 8)
+            hash = fnv1a(hash, backing.read(base + off, 8).v);
     }
-    return hash;
+    uint64_t lfb_hash = kFnvOffset;
+    for (const LfbEntry &entry : lfbs_) {
+        lfb_hash = fnv1a(lfb_hash, entry.line);
+        lfb_hash = fnv1a(lfb_hash, entry.data.v);
+    }
+    return fnv1a(hash, lfb_hash);
 }
 
 void

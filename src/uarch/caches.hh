@@ -22,6 +22,10 @@
 #include "ift/taintacct.hh"
 #include "util/bits.hh"
 
+namespace dejavuzz::swapmem {
+class Memory;
+} // namespace dejavuzz::swapmem
+
 namespace dejavuzz::uarch {
 
 using ift::TV;
@@ -150,23 +154,24 @@ class DCache
 
     /** MSHR holding @p addr's line, or -1. */
     int findMshr(uint64_t addr) const;
-    const MshrEntry &mshr(int index) const { return mshrs_[index]; }
     bool mshrDone(int index) const;
 
     /**
-     * Advance refills one cycle. Completed refills install the line
-     * (tag + taint), write the refilled data into the LFB, and retire
-     * the MSHR - leaving the (possibly tainted) LFB data dead.
+     * Advance refills one cycle. Completed refills read their data
+     * from @p backing, install the line (tag + taint), write the data
+     * into the LFB, and retire the MSHR - leaving the (possibly
+     * tainted) LFB data dead.
      */
-    void tick(const std::vector<TV> &refill_data);
+    void tick(const swapmem::Memory &backing);
 
     /** Store hit update: merge taint into the line (write-through). */
     void storeUpdate(uint64_t addr, TV data);
 
-    /** Line numbers of all valid lines (for data-state hashing). */
-    void validLines(std::vector<uint64_t> &lines) const;
-    /** Raw LFB data values folded into a hash (stale data included). */
-    uint64_t lfbDataHash() const;
+    /**
+     * Hash of the cached data state: every valid line's bytes read
+     * from @p backing, then the raw LFB data (stale data included).
+     */
+    uint64_t dataHash(const swapmem::Memory &backing) const;
 
     /** Invalidate everything (not used by swaps; test hook). */
     void flush();
@@ -178,7 +183,6 @@ class DCache
     uint32_t taintedRegCountRescan() const;
     uint64_t taintBitsRescan() const;
     size_t lines() const { return tags_.size(); }
-    size_t mshrCount() const { return mshrs_.size(); }
 
     /** mshr/lfb module stats (reported as separate modules). */
     uint32_t mshrTaintedRegCount() const { return mshr_acct_.regs; }

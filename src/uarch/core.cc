@@ -1357,16 +1357,7 @@ Core::tick(Memory &mem, ift::TaintCtx &ctx, TraceLog *trace)
 
     // Cache engines.
     icache_.tick();
-    {
-        // Refill data for each pending MSHR (read at completion).
-        std::vector<TV> refill_data(dcache.mshrCount());
-        for (size_t i = 0; i < dcache.mshrCount(); ++i) {
-            const MshrEntry &pending = dcache.mshr(static_cast<int>(i));
-            if (pending.valid)
-                refill_data[i] = mem.read(pending.addr.v & ~7ULL, 8);
-        }
-        dcache.tick(refill_data);
-    }
+    dcache.tick(mem);
 
     if (trace != nullptr) {
         if (enq_this_cycle_ != 0 || commit_this_cycle_ != 0) {
@@ -1647,16 +1638,7 @@ Core::timingStateHash() const
 uint64_t
 Core::cachedDataHash(const swapmem::Memory &mem) const
 {
-    uint64_t hash = kFnvOffset;
-    std::vector<uint64_t> lines;
-    dcache.validLines(lines);
-    for (uint64_t line : lines) {
-        uint64_t base = line * kLineBytes;
-        for (unsigned off = 0; off < kLineBytes; off += 8)
-            hash = fnv1a(hash, mem.read(base + off, 8).v);
-    }
-    hash = fnv1a(hash, dcache.lfbDataHash());
-    return hash;
+    return dcache.dataHash(mem);
 }
 
 void

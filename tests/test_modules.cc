@@ -249,10 +249,10 @@ TEST(Caches, LfbRetainsStaleTaintWithDeadLiveness)
     uarch::DCache dcache(16, 2, 2, 2, 4);
     int mshr = dcache.allocMshr(TV{0x1000, ~0ULL}, false);
     ASSERT_GE(mshr, 0);
-    std::vector<TV> refill(2);
-    refill[mshr] = TV{0xdeadbeef, ~0ULL}; // secret-tainted fill data
+    swapmem::Memory backing;
+    backing.write(0x1000, 8, TV{0xdeadbeef, ~0ULL}); // secret fill data
     for (int i = 0; i < 4; ++i)
-        dcache.tick(refill);
+        dcache.tick(backing);
     EXPECT_TRUE(dcache.mshrDone(mshr));
     EXPECT_TRUE(dcache.hit(0x1000));
     // The paper's liveness example: LFB data tainted, owner invalid.

@@ -16,11 +16,14 @@
 #include <set>
 #include <vector>
 
+#include "bench/poc_suite.hh"
+#include "harness/dualsim.hh"
 #include "isa/encoding.hh"
 #include "isa/instr.hh"
 #include "swapmem/layout.hh"
 #include "swapmem/memory.hh"
 #include "swapmem/packet.hh"
+#include "uarch/config.hh"
 #include "util/rng.hh"
 
 namespace {
@@ -482,6 +485,33 @@ TEST(SwapRuntime, WarmPacketLoadsDoNotAllocate)
         before = g_heap_allocs;
         runtime.advance(mem);
         EXPECT_EQ(g_heap_allocs - before, 0u) << "advance from " << cursor;
+    }
+}
+
+TEST(SwapRuntime, WarmDualRunsDoNotAllocate)
+{
+    // The allocation-free steady state covers the whole lockstep
+    // diffIFT run, not only packet loads: once one pass over the PoC
+    // suite has sized every pooled buffer, a runDual with the taint
+    // log and sinks on allocates nothing — per tick, per checkpoint
+    // or per result.
+    harness::SimOptions options;
+    options.mode = ift::IftMode::DiffIFT;
+    options.taint_log = true;
+    options.sinks = true;
+    const std::vector<bench::Poc> suite = bench::pocSuite();
+    for (const uarch::CoreConfig &config :
+         {uarch::smallBoomConfig(), uarch::xiangshanMinimalConfig()}) {
+        harness::DualSim sim(config);
+        harness::DualResult result;
+        for (const bench::Poc &poc : suite)
+            sim.runDual(poc.schedule, poc.data, options, result);
+        for (const bench::Poc &poc : suite) {
+            const uint64_t before = g_heap_allocs;
+            sim.runDual(poc.schedule, poc.data, options, result);
+            EXPECT_EQ(g_heap_allocs - before, 0u)
+                << config.name << " " << poc.name;
+        }
     }
 }
 

@@ -498,29 +498,6 @@ TEST(TriagePipeline, WritePocsRoundTripsOnDisk)
     std::filesystem::remove_all(dir);
 }
 
-TEST(TriagePipeline, AnnotateLedgerCopiesClusterAssignments)
-{
-    CampaignOrchestrator orchestrator(smallCampaign(1, 500));
-    orchestrator.run();
-    ASSERT_GT(orchestrator.ledger().distinct(), 0u);
-
-    triage::TriageOptions options;
-    options.emit_pocs = false;
-    triage::FuzzerCache cache;
-    const triage::TriageResult result = triage::triageLedger(
-        orchestrator.ledger().entries(), options, cache);
-    triage::annotateLedger(orchestrator.ledger(), result);
-
-    for (const BugRecord &rec : orchestrator.ledger().entries()) {
-        EXPECT_FALSE(rec.cluster.empty()) << rec.report.key();
-        EXPECT_FALSE(rec.reproduces_on.empty())
-            << rec.report.key();
-    }
-    // Unknown keys are rejected, not silently inserted.
-    EXPECT_FALSE(
-        orchestrator.ledger().annotate("no-such-key", "C999", {}));
-}
-
 TEST(TriagePipeline, EmptyLedgerYieldsEmptyArtifacts)
 {
     triage::TriageOptions options;

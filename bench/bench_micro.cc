@@ -126,6 +126,10 @@ BM_DualRun(benchmark::State &state)
     options.taint_log = mode != ift::IftMode::Off;
     auto poc = bench::spectreV1();
     for (auto _ : state) {
+        // Alternate the (never reached) cycle budget so each diffIFT
+        // run starts from reset instead of resuming from the previous
+        // run's transient-boundary snapshot.
+        options.total_cycle_budget ^= 1;
         auto result = sim.runDual(poc.schedule, poc.data, options);
         benchmark::DoNotOptimize(result.dut0.cycles);
     }

@@ -70,6 +70,10 @@ runSuite(const uarch::CoreConfig &cfg, ift::IftMode mode,
     }
     bench::Stopwatch timer;
     for (unsigned r = 0; r < repeats; ++r) {
+        // Alternate the (never reached) cycle budget so each diffIFT
+        // repeat starts from reset instead of resuming from the
+        // previous repeat's transient-boundary snapshot.
+        options.total_cycle_budget ^= 1;
         if (mode == ift::IftMode::Off) {
             (void)sim.runSingle(poc->schedule, poc->data, options);
         } else {

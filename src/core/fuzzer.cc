@@ -155,8 +155,8 @@ Fuzzer::iterate(Phase1 &phase1, Phase2 &phase2, Phase3 &phase3)
 
     // --- Phase 2: differential exploration --------------------------
     ++stats_.phase2_runs;
+    const uint64_t sims_before = sim_.simulations();
     const Phase2Result &explored = phase2.run(current_);
-    stats_.simulations += explored.dual.sim_passes;
 
     if (explored.window_ok && explored.taint_propagated &&
         explored.new_coverage > 0 && on_interesting_) {
@@ -171,7 +171,6 @@ Fuzzer::iterate(Phase1 &phase1, Phase2 &phase2, Phase3 &phase3)
         ++stats_.phase3_runs;
         Phase3Result verdict =
             phase3.run(current_, explored, options_.use_liveness);
-        stats_.simulations += verdict.simulations;
         if (verdict.leak && verdict.report.has_value()) {
             BugReport report = *verdict.report;
             report.iteration = stats_.iterations;
@@ -186,6 +185,7 @@ Fuzzer::iterate(Phase1 &phase1, Phase2 &phase2, Phase3 &phase3)
                 bug_cases_.push_back(current_);
         }
     }
+    stats_.simulations += sim_.simulations() - sims_before;
 
     // Coverage-guided mutation (paper step 2.2 feedback): windows
     // whose coverage gain beats the running average earn extra
@@ -224,7 +224,7 @@ Fuzzer::run(uint64_t count)
 {
     RunSlice slice(*this);
     Phase1 phase1(sim_, options_.sim);
-    Phase2 phase2(sim_, options_.sim, coverage_, module_ids_, gen_);
+    Phase2 phase2(sim_, options_.sim, coverage_, module_ids_);
     Phase3 phase3(sim_, options_.sim, gen_);
     for (uint64_t i = 0; i < count; ++i)
         iterate(phase1, phase2, phase3);
@@ -236,7 +236,7 @@ Fuzzer::runUntilFirstBug(uint64_t max_iters)
 {
     RunSlice slice(*this);
     Phase1 phase1(sim_, options_.sim);
-    Phase2 phase2(sim_, options_.sim, coverage_, module_ids_, gen_);
+    Phase2 phase2(sim_, options_.sim, coverage_, module_ids_);
     Phase3 phase3(sim_, options_.sim, gen_);
     for (uint64_t i = 0; i < max_iters && stats_.bugs.empty(); ++i)
         iterate(phase1, phase2, phase3);
@@ -350,20 +350,19 @@ Fuzzer::replayCase(const TestCase &tc, bool collect_coverage_tuples)
     // Measure against an empty map so outcome.coverage is the case's
     // own tuple set — the same yardstick whoever replays it.
     coverage_.resetSamples();
-    Phase2 phase2(sim_, options_.sim, coverage_, module_ids_, gen_);
+    Phase2 phase2(sim_, options_.sim, coverage_, module_ids_);
     Phase3 phase3(sim_, options_.sim, gen_);
 
     ReplayOutcome outcome;
     util::WallGuard guard(options_.replay_deadline_sec);
+    const uint64_t sims_before = sim_.simulations();
     try {
         const Phase2Result &explored = phase2.run(tc);
-        stats_.simulations += explored.dual.sim_passes;
         outcome.window_ok = explored.window_ok;
         outcome.taint_propagated = explored.taint_propagated;
         if (explored.window_ok && explored.taint_propagated) {
             Phase3Result verdict =
                 phase3.run(tc, explored, options_.use_liveness);
-            stats_.simulations += verdict.simulations;
             if (verdict.leak && verdict.report.has_value())
                 outcome.report = *verdict.report;
         }
@@ -372,8 +371,10 @@ Fuzzer::replayCase(const TestCase &tc, bool collect_coverage_tuples)
         // sweep: report the timeout, keep the pipeline moving.
         outcome = ReplayOutcome{};
         outcome.timed_out = true;
-        return outcome;
     }
+    stats_.simulations += sim_.simulations() - sims_before;
+    if (outcome.timed_out)
+        return outcome;
     outcome.coverage_points = coverage_.points();
     if (collect_coverage_tuples)
         outcome.coverage = coverage_.tuples();

@@ -137,16 +137,6 @@ Phase2::run(const TestCase &tc)
     harness::SimOptions options = options_;
     options.taint_log = true;
     options.sinks = true;
-    // Arm Phase-3 lane fusion when the case has a window payload to
-    // sanitize: the differential run below then snapshots both lanes
-    // at the transient boundary, and Phase 3 resumes from the
-    // snapshot instead of re-simulating the shared prefix.
-    if (tc.has_window_payload) {
-        sanitized_ = gen_->sanitizedSchedule(tc);
-        sim_->armFusion(&sanitized_);
-    } else {
-        sim_->armFusion(nullptr);
-    }
     sim_->runDual(tc.schedule, tc.data, options, result.dual);
 
     result.window = checkWindow(result.dual.dut0.trace, tc);
@@ -306,20 +296,13 @@ Phase3::run(const TestCase &tc, const Phase2Result &phase2,
     }
 
     // Encode sanitization: re-run with the encoding block nopped and
-    // diff the taint footprints.
+    // diff the taint footprints. The sanitized twin shares the Phase-2
+    // run's training prefix, so the harness resumes it from the
+    // transient-boundary snapshot.
     harness::SimOptions options = options_;
     options.taint_log = false;
     options.sinks = true;
-    if (sim_->fusionCaptured()) {
-        // Fused third lane: the Phase-2 run snapshotted both lanes at
-        // the transient boundary; resume them onto the sanitized
-        // schedule instead of re-simulating the shared prefix.
-        sim_->runFusedPhase3(options, base_);
-    } else {
-        swapmem::SwapSchedule sanitized = gen_->sanitizedSchedule(tc);
-        sim_->runDual(sanitized, tc.data, options, base_);
-    }
-    result.simulations = base_.sim_passes;
+    sim_->runDual(gen_->sanitizedSchedule(tc), tc.data, options, base_);
 
     // Step 3.2: tainted-sink liveness analysis.
     std::set<std::string> live_components;

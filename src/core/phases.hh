@@ -26,7 +26,6 @@
 #include "core/stimgen.hh"
 #include "harness/dualsim.hh"
 #include "ift/coverage.hh"
-#include "util/logging.hh"
 
 namespace dejavuzz::core {
 
@@ -80,28 +79,19 @@ struct Phase2Result
 class Phase2
 {
   public:
-    /**
-     * @p gen builds the sanitized twin of each case with a window
-     * payload, which arms the harness's Phase-3 lane fusion: the
-     * lockstep run snapshots both lanes at the transient boundary so
-     * a following Phase 3 resumes instead of re-simulating the shared
-     * prefix.
-     */
     Phase2(harness::DualSim &sim, const harness::SimOptions &options,
            ift::TaintCoverage &coverage,
-           const std::array<uint16_t, uarch::kModCount> &module_ids,
-           const StimGen &gen)
+           const std::array<uint16_t, uarch::kModCount> &module_ids)
         : sim_(&sim), options_(options), coverage_(&coverage),
-          module_ids_(module_ids), gen_(&gen)
+          module_ids_(module_ids)
     {}
 
-    /** Pointer form of the constructor above; panics on a null
-     *  @p gen. */
+    /** For callers that still pass a generator; @p gen is unused. */
     Phase2(harness::DualSim &sim, const harness::SimOptions &options,
            ift::TaintCoverage &coverage,
            const std::array<uint16_t, uarch::kModCount> &module_ids,
-           const StimGen *gen)
-        : Phase2(sim, options, coverage, module_ids, requireGen(gen))
+           const StimGen * /*gen*/)
+        : Phase2(sim, options, coverage, module_ids)
     {}
 
     /**
@@ -112,22 +102,11 @@ class Phase2
     const Phase2Result &run(const TestCase &tc);
 
   private:
-    static const StimGen &
-    requireGen(const StimGen *gen)
-    {
-        dv_assert(gen != nullptr);
-        return *gen;
-    }
-
     harness::DualSim *sim_;
     harness::SimOptions options_;
     ift::TaintCoverage *coverage_;
     std::array<uint16_t, uarch::kModCount> module_ids_;
-    const StimGen *gen_;
     Phase2Result result_;
-    /** Pooled sanitized schedule the armed fusion capture resumes
-     *  onto; must outlive the following Phase-3 run. */
-    swapmem::SwapSchedule sanitized_;
 };
 
 /** Phase-3 verdict. */
@@ -138,8 +117,6 @@ struct Phase3Result
     /** Candidate counts for the liveness evaluation benches. */
     size_t encoded_sinks = 0;
     size_t live_encoded_sinks = 0;
-    /** Full core simulations the analysis spent (sanitized dual). */
-    unsigned simulations = 0;
 };
 
 /** Phase-3 driver: constant time + sanitization + liveness. */

@@ -1,5 +1,6 @@
 #include "harness/dualsim.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "obs/telemetry.hh"
@@ -9,6 +10,8 @@
 namespace dejavuzz::harness {
 
 using swapmem::Memory;
+using swapmem::PacketKind;
+using swapmem::SwapPacket;
 using swapmem::SwapRuntime;
 using swapmem::SwapSchedule;
 using uarch::Core;
@@ -53,18 +56,95 @@ constexpr uint64_t kCheckpointInterval = 32;
  *  divergent cycle a single-tick redo instead of a replay). */
 constexpr uint64_t kDivergenceHotWindow = 8;
 
-} // namespace
-
-const ift::ControlTrace *
-DualSim::TraceStore::viewAt(uint64_t cycle) const
+/**
+ * Index of the first transient packet that a training prefix precedes,
+ * or SIZE_MAX when there is none (nothing to resume past).
+ */
+size_t
+resumePoint(const SwapSchedule &schedule)
 {
-    return cycle < used ? &per_cycle[cycle] : &kEmptyTrace;
+    for (size_t i = 1; i < schedule.packets.size(); ++i) {
+        if (schedule.packets[i].kind == PacketKind::Transient)
+            return i;
+    }
+    return SIZE_MAX;
 }
+
+/** Same words in memory: Instr::operator== ignores `raw`, which
+ *  encode() emits for an ILLEGAL instruction. */
+bool
+sameInstrs(const std::vector<isa::Instr> &a,
+           const std::vector<isa::Instr> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const isa::Instr &x, const isa::Instr &y) {
+                          return x == y && x.raw == y.raw;
+                      });
+}
+
+} // namespace
 
 DualSim::DualSim(const uarch::CoreConfig &config)
     : cfg_(config), lane0_(config), lane1_(config), ckpt_core_(config),
-      fused0_(config), fused1_(config)
+      capture0_(config), capture1_(config)
 {}
+
+void
+DualSim::PrefixKey::assign(const SwapSchedule &schedule_in,
+                           size_t transient_in,
+                           const StimulusData &data_in,
+                           const SimOptions &options_in)
+{
+    count = schedule_in.packets.size();
+    if (schedule.packets.size() < count)
+        schedule.packets.resize(count);
+    for (size_t i = 0; i < count; ++i) {
+        const SwapPacket &src = schedule_in.packets[i];
+        SwapPacket &dst = schedule.packets[i];
+        if (i != transient_in) {
+            dst = src; // member-wise: reuses string/vector storage
+        } else {
+            dst.kind = src.kind;
+            dst.entry = src.entry;
+        }
+    }
+    schedule.transient_prot = schedule_in.transient_prot;
+    schedule.victim_supervisor = schedule_in.victim_supervisor;
+    schedule.double_fetch = schedule_in.double_fetch;
+    transient = transient_in;
+    data = data_in;
+    options = options_in;
+    valid = true;
+}
+
+bool
+DualSim::PrefixKey::resumable(const SwapSchedule &schedule_in,
+                              size_t transient_in,
+                              const StimulusData &data_in,
+                              const SimOptions &options_in) const
+{
+    if (!valid || transient != transient_in ||
+        count != schedule_in.packets.size() ||
+        schedule.transient_prot != schedule_in.transient_prot ||
+        schedule.victim_supervisor != schedule_in.victim_supervisor ||
+        schedule.double_fetch != schedule_in.double_fetch ||
+        data.secret != data_in.secret ||
+        data.operands != data_in.operands ||
+        options.mode != options_in.mode ||
+        options.packet_cycle_budget != options_in.packet_cycle_budget ||
+        options.total_cycle_budget != options_in.total_cycle_budget ||
+        (options_in.taint_log && !options.taint_log))
+        return false;
+    for (size_t i = 0; i < count; ++i) {
+        const SwapPacket &mine = schedule.packets[i];
+        const SwapPacket &other = schedule_in.packets[i];
+        if (mine.kind != other.kind || mine.entry != other.entry ||
+            (i != transient && (mine.label != other.label ||
+                                !sameInstrs(mine.instrs, other.instrs))))
+            return false;
+    }
+    return true;
+}
 
 void
 DualSim::buildMemory(Memory &mem, const StimulusData &data,
@@ -186,6 +266,7 @@ DualSim::runSingle(const SwapSchedule &schedule,
 {
     runOne(schedule, data, options, false, ift::IftMode::Off, lane0_,
            out);
+    simulations_ += 1;
     obs::counterAdd(obs::Ctr::Simulations);
 }
 
@@ -212,33 +293,50 @@ DualSim::runSingle(const SwapSchedule &schedule, const StimulusData &data,
  * trace. Divergence clusters inside transient windows, so checkpoints
  * are sparse (every kCheckpointInterval cycles) until a divergence
  * and per-cycle while one is hot.
+ *
+ * A run whose prefix matches the transient-boundary snapshot resumes
+ * from it; any other run starts from reset and, when the schedule has
+ * a training prefix, replaces the snapshot.
  */
 void
 DualSim::runDualLockstep(const SwapSchedule &schedule,
                          const StimulusData &data,
-                         const SimOptions &options, DualResult &out,
-                         bool allow_capture)
+                         const SimOptions &options, DualResult &out)
 {
-    store_a_.prepare(options.total_cycle_budget);
-    store_b_.prepare(options.total_cycle_budget);
-
     LaneRun l0(lane0_, out.dut0, schedule);
     LaneRun l1(lane1_, out.dut1, schedule);
+    size_t transient = resumePoint(schedule);
+    if (prefix_.resumable(schedule, transient, data, options)) {
+        restoreLane(capture0_, l0, options, transient);
+        restoreLane(capture1_, l1, options, transient);
+        // Prefix cycles this resume did not have to re-simulate.
+        obs::counterAdd(obs::Ctr::FusedLaneCycles,
+                        capture0_.core.cycle() + capture1_.core.cycle());
+        lockstepLoop(l0, l1, options, SIZE_MAX);
+        return;
+    }
+
     startLane(l0, data, options, false);
     startLane(l1, data, options, true);
-    lockstepLoop(l0, l1, options, allow_capture);
-    out.sim_passes = 2;
+    // The captures are overwritten below; a run cut short by the
+    // wall-clock watchdog must leave no key pointing at them.
+    if (transient != SIZE_MAX)
+        prefix_.valid = false;
+    lockstepLoop(l0, l1, options, transient);
+    if (transient != SIZE_MAX)
+        prefix_.assign(schedule, transient, data, options);
 }
 
 void
 DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
-                      bool allow_capture)
+                      size_t capture_at)
 {
-    // Transient-packet index the fusion hook watches for; SIZE_MAX
-    // disables capture (not armed, or already resuming a fused run).
-    size_t fuse_at = allow_capture && fusion_sanitized_ != nullptr
-                         ? fusion_sanitized_->transientIndex()
-                         : SIZE_MAX;
+    bool captured = false;
+    auto capture = [&]() {
+        captureLane(capture0_, l0);
+        captureLane(capture1_, l1);
+        captured = true;
+    };
 
     LaneMarks marks;
     SwapRuntime ckpt_runtime = l0.runtime;
@@ -295,15 +393,15 @@ DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
         }
 
         // Record sub-tick: lane 0 with closed gates, trace recorded.
-        ift::ControlTrace *rec0 = store_a_.slot(cycle);
-        laneTick(l0, options, ift::IftMode::DiffIFT, rec0, nullptr);
+        trace0_.clear();
+        laneTick(l0, options, ift::IftMode::DiffIFT, &trace0_, nullptr);
 
         // Taint sub-tick: lane 1 gates against lane 0's trace for the
         // same cycle (and records its own for lane 0's redo).
-        ift::ControlTrace *rec1 = store_b_.slot(cycle);
-        laneTick(l1, options, ift::IftMode::DiffIFT, rec1, rec0);
+        trace1_.clear();
+        laneTick(l1, options, ift::IftMode::DiffIFT, &trace1_, &trace0_);
 
-        if (!gatesAllClosed(*rec0, *rec1)) {
+        if (!gatesAllClosed(trace0_, trace1_)) {
             obs::ScopedSpan rollback_span(obs::Hist::RollbackNs);
             obs::counterAdd(obs::Ctr::Rollbacks);
             obs::counterAdd(obs::Ctr::RedoCycles,
@@ -319,45 +417,36 @@ DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
             }
             // Redo the divergent cycle against the sibling's trace.
             laneTick(l0, options, ift::IftMode::DiffIFT, nullptr,
-                     rec1);
+                     &trace1_);
         }
 
-        // Fusion snapshot: both lanes' state at an iteration bottom
-        // is confirmed (any divergence this cycle was just redone),
-        // and the first time a swap cursor reaches the transient
-        // packet it sits exactly at its start — the packet was
-        // loaded at the end of this tick and none of its
+        // Boundary snapshot: both lanes' state at an iteration
+        // bottom is confirmed (any divergence this cycle was just
+        // redone), and the first time a swap cursor reaches the
+        // transient packet it sits exactly at its start — the packet
+        // was loaded at the end of this tick and none of its
         // instructions have been fetched yet.
-        if (fuse_at != SIZE_MAX && !fusion_captured_ &&
-            (l0.runtime.cursor() >= fuse_at ||
-             l1.runtime.cursor() >= fuse_at)) {
-            captureLane(fused0_, l0);
-            captureLane(fused1_, l1);
-            fusion_captured_ = true;
-        }
+        if (capture_at != SIZE_MAX && !captured &&
+            (l0.runtime.cursor() >= capture_at ||
+             l1.runtime.cursor() >= capture_at))
+            capture();
     }
     if (ckpt_valid)
         l0.lane.mem.discardUndo();
 
-    // Armed but the transient packet was never reached (a lane ran
-    // out of budget while training): snapshot the exit state so the
-    // fused run still skips the whole shared prefix.
-    if (fuse_at != SIZE_MAX && !fusion_captured_) {
-        captureLane(fused0_, l0);
-        captureLane(fused1_, l1);
-        fusion_captured_ = true;
-    }
+    // The transient packet was never reached (a lane ran out of
+    // budget while training): snapshot the exit state, so a resume
+    // still skips the whole shared prefix.
+    if (capture_at != SIZE_MAX && !captured)
+        capture();
 
-    // Solo tails: one instance outlived the other; it keeps gating
-    // against the frozen sibling store (gates open past its end).
-    while (!l0.done) {
-        laneTick(l0, options, ift::IftMode::DiffIFT, nullptr,
-                 store_b_.viewAt(l0.lane.core.cycle()));
-    }
-    while (!l1.done) {
-        laneTick(l1, options, ift::IftMode::DiffIFT, nullptr,
-                 store_a_.viewAt(l1.lane.core.cycle()));
-    }
+    // Solo tails: one instance outlived the other. Both lanes stop at
+    // the same cycle, so the survivor is past the sibling's last
+    // recorded cycle: an empty view, every gate open.
+    while (!l0.done)
+        laneTick(l0, options, ift::IftMode::DiffIFT, nullptr, &kEmptyTrace);
+    while (!l1.done)
+        laneTick(l1, options, ift::IftMode::DiffIFT, nullptr, &kEmptyTrace);
 
     if (l0.started)
         finishLane(l0, options);
@@ -366,75 +455,45 @@ DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
 }
 
 void
-DualSim::captureLane(FusedCapture &cap, const LaneRun &lr)
+DualSim::captureLane(LaneCapture &cap, const LaneRun &lr)
 {
     cap.core = lr.lane.core;
     cap.mem.copyFrom(lr.lane.mem);
     cap.result = lr.result;
     cap.packet_cycles = lr.packet_cycles;
     cap.cursor = lr.runtime.cursor();
-    cap.runtime_started = lr.runtime.started();
-    cap.started = lr.started;
     cap.done = lr.done;
 }
 
 void
-DualSim::restoreLane(const FusedCapture &cap, LaneRun &lr,
+DualSim::restoreLane(const LaneCapture &cap, LaneRun &lr,
                      const SimOptions &options, size_t transient_index)
 {
     lr.lane.core = cap.core;
     lr.lane.mem.copyFrom(cap.mem);
     lr.result = cap.result;
-    // The snapshot was taken under the capturing run's options; a
-    // fused run without taint logging must look like a run that
-    // never logged (standalone bit-identity).
+    // The capturing run may have logged taint where this one does
+    // not; a run without taint logging must look like a run that
+    // never logged.
     if (!options.taint_log)
         lr.result.taint_log.clear();
-    lr.runtime.resumeAt(cap.cursor, cap.runtime_started);
+    lr.runtime.resumeAt(cap.cursor);
     lr.packet_cycles = cap.packet_cycles;
     lr.taint_transitions_base = cap.core.taintTransitions();
-    lr.started = cap.started;
+    lr.started = true;
     lr.done = cap.done;
-    // The snapshot's swap region holds the packet the *capturing*
-    // schedule loaded; once the cursor is at (or past) the transient
-    // packet that differs from this lane's sanitized schedule, so
-    // reload it — same zero-fill + load + secret-protection sequence
-    // the original advance performed, now with sanitized words.
-    if (cap.runtime_started && !lr.runtime.done() &&
-        cap.cursor >= transient_index) {
+    // A lane whose cursor reached the transient packet holds the
+    // *capturing* schedule's in its swap region, so reload this
+    // schedule's — the same zero-fill + load + secret-protection
+    // sequence the original advance performed.
+    if (cap.cursor == transient_index)
         lr.runtime.reload(lr.lane.mem);
-    }
-}
-
-void
-DualSim::runFusedPhase3(const SimOptions &options, DualResult &out)
-{
-    dv_assert(fusion_captured_ && fusion_sanitized_ != nullptr);
-    size_t transient_index = fusion_sanitized_->transientIndex();
-    LaneRun l0(lane0_, out.dut0, *fusion_sanitized_);
-    LaneRun l1(lane1_, out.dut1, *fusion_sanitized_);
-    restoreLane(fused0_, l0, options, transient_index);
-    restoreLane(fused1_, l1, options, transient_index);
-    // Prefix cycles this fused resume did not have to re-simulate.
-    obs::counterAdd(obs::Ctr::FusedLaneCycles,
-                    fused0_.core.cycle() + fused1_.core.cycle());
-    lockstepLoop(l0, l1, options, false);
-    out.sim_passes = 1;
-    obs::counterAdd(obs::Ctr::Simulations, out.sim_passes);
-    fusion_captured_ = false;
-    fusion_sanitized_ = nullptr;
 }
 
 void
 DualSim::runDual(const SwapSchedule &schedule, const StimulusData &data,
                  const SimOptions &options, DualResult &out)
 {
-    // Fusion arming is one-shot: this run either captures a snapshot
-    // (DiffIFT) or the arming lapses, so a stale sanitized
-    // pointer can never be consulted by a later, unrelated run.
-    bool allow_capture = fusion_armed_;
-    fusion_armed_ = false;
-    fusion_captured_ = false;
     switch (options.mode) {
       case ift::IftMode::Off:
       case ift::IftMode::CellIFT:
@@ -444,15 +503,13 @@ DualSim::runDual(const SwapSchedule &schedule, const StimulusData &data,
                out.dut0);
         runOne(schedule, data, options, true, options.mode, lane1_,
                out.dut1);
-        out.sim_passes = 2;
-        obs::counterAdd(obs::Ctr::Simulations, out.sim_passes);
-        return;
+        break;
       case ift::IftMode::DiffIFT:
-        runDualLockstep(schedule, data, options, out, allow_capture);
-        obs::counterAdd(obs::Ctr::Simulations, out.sim_passes);
-        return;
+        runDualLockstep(schedule, data, options, out);
+        break;
     }
-    out.sim_passes = 0;
+    simulations_ += 2;
+    obs::counterAdd(obs::Ctr::Simulations, 2);
 }
 
 DualResult

@@ -17,29 +17,30 @@
  * memory undo log), replays the confirmed-convergent cycles, and
  * redoes the divergent cycle against instance 1's trace. DiffIFT
  * costs ~2 core simulations. Once one instance finishes, the other
- * keeps gating against the finished sibling's recorded trace; past
- * its last cycle the sibling view is empty, so every gate opens.
+ * runs on past the sibling's last cycle, where the sibling view is
+ * empty, so every gate opens.
  *
  * CellIFT / FN / Off modes need no sibling information and run in a
  * single pass per instance. All per-run state (cores, memories,
- * trace stores, result buffers) is pooled inside DualSim, so the
+ * trace buffers, result buffers) is pooled inside DualSim, so the
  * steady-state iteration loop performs no allocation.
  *
- * **Phase-3 lane fusion.** The Phase-3 sanitized run executes the
- * same schedule as Phase 2 with the transient packet's encode
- * instructions nop'd out — and packets only reach memory when the
- * swap runtime loads them, so the two runs are cycle-for-cycle
- * identical until the transient packet is loaded. When a phase
- * driver arms fusion (armFusion) with the sanitized schedule, the
- * lockstep loop snapshots both lanes at the first confirmed point
- * where either swap cursor reaches the transient packet (always
- * before any transient instruction is fetched: the load happens at
- * the end of the triggering tick and fetch resumes next tick).
- * runFusedPhase3 then restores the snapshot, rewrites the swap
- * region with the sanitized transient packet, and runs only the
- * post-transient suffix — bit-identical to a standalone sanitized
- * run (CI-enforced) at a fraction of its cost, collapsing a fuzzer
- * iteration from 2+1 full simulations toward 2.
+ * **Transient-boundary resume.** The swap runtime loads the
+ * transient packet only after every training packet has run, so a
+ * differential run's state at that load depends on the rest of the
+ * schedule, never on the transient packet's instructions. A DiffIFT
+ * runDual that starts from reset snapshots both lanes at the first
+ * confirmed point where either swap cursor reaches the transient
+ * packet (always before any transient instruction is fetched: the
+ * load happens at the end of the triggering tick and fetch resumes
+ * next tick), together with an exact copy of everything that prefix
+ * depends on. The next DiffIFT runDual whose prefix compares equal —
+ * a Phase-2 mutation of the same seed, or its Phase-3 sanitized twin
+ * — restores the snapshot, reloads the swap region with its own
+ * transient packet and runs only the suffix. The result is
+ * bit-identical to a run from reset (CI-enforced), so callers never
+ * see the difference; simulation counts stay logical (runDual = 2,
+ * runSingle = 1).
  */
 
 #ifndef DEJAVUZZ_HARNESS_DUALSIM_HH
@@ -111,9 +112,6 @@ struct DualResult
 {
     DutResult dut0; ///< original secret
     DutResult dut1; ///< flipped secret
-    /** Full core simulations this run cost (2 for a dual run, 1 for
-     *  a fused Phase-3 resume, which re-simulates only the suffix). */
-    unsigned sim_passes = 0;
 };
 
 class DualSim
@@ -148,78 +146,11 @@ class DualSim
                        const StimulusData &data,
                        const SimOptions &options);
 
-    /**
-     * Arm Phase-3 lane fusion for the next runDual: @p sanitized is
-     * the sanitized twin of the schedule that runDual will execute
-     * (same packet count, kinds, entries and transient protection;
-     * only the transient packet's instructions differ). The pointer
-     * must stay valid through the matching runFusedPhase3 call.
-     * Passing nullptr disarms. Arming is one-shot: each runDual
-     * consumes it, and non-DiffIFT runs simply never capture
-     * (fusionCaptured() stays false => callers fall back to a
-     * standalone sanitized run).
-     */
-    void
-    armFusion(const swapmem::SwapSchedule *sanitized)
-    {
-        fusion_sanitized_ = sanitized;
-        fusion_armed_ = sanitized != nullptr;
-        fusion_captured_ = false;
-    }
-
-    /** True when the last runDual captured a fusion snapshot. */
-    bool fusionCaptured() const { return fusion_captured_; }
-
-    /**
-     * Run the Phase-3 sanitized simulation as a fused third lane:
-     * restore both lanes from the snapshot captured by the last
-     * (armed) lockstep runDual, reload the swap region with the
-     * sanitized transient packet, and finish the run. Bit-identical
-     * to runDual on the sanitized schedule but costs only the
-     * post-transient suffix (sim_passes = 1). Requires
-     * fusionCaptured(); consumes the snapshot.
-     */
-    void runFusedPhase3(const SimOptions &options, DualResult &out);
+    /** Logical simulations run so far: 2 per runDual and 1 per
+     *  runSingle, whether or not a run resumed from a snapshot. */
+    uint64_t simulations() const { return simulations_; }
 
   private:
-    /**
-     * Recorded control traces of one instance, one slot per cycle,
-     * preallocated from SimOptions::total_cycle_budget and reused
-     * across runs (each per-cycle trace keeps its record capacity).
-     */
-    struct TraceStore
-    {
-        std::vector<ift::ControlTrace> per_cycle;
-        /** Cycles recorded this run (recording is contiguous from 0). */
-        uint64_t used = 0;
-
-        void
-        prepare(uint64_t budget)
-        {
-            if (per_cycle.size() < budget)
-                per_cycle.resize(budget);
-            used = 0;
-        }
-
-        /** Recording slot for @p cycle (cleared; marks it used). */
-        ift::ControlTrace *
-        slot(uint64_t cycle)
-        {
-            ift::ControlTrace &trace = per_cycle[cycle];
-            trace.clear();
-            used = cycle + 1;
-            return &trace;
-        }
-
-        /**
-         * Sibling view of @p cycle for an instance that outlived its
-         * sibling: the recorded trace for cycles < used, an *empty*
-         * trace (structural divergence => gates open) past the
-         * sibling's last cycle.
-         */
-        const ift::ControlTrace *viewAt(uint64_t cycle) const;
-    };
-
     /** Pooled per-instance simulation resources. */
     struct Lane
     {
@@ -240,7 +171,7 @@ class DualSim
         swapmem::SwapRuntime runtime;
         uint64_t packet_cycles = 0;
         /** Core taint-transition count at lane start (nonzero only
-         *  for a fused resume), so finishLane reports the transitions
+         *  for a resumed run), so finishLane reports the transitions
          *  this run actually simulated. */
         uint64_t taint_transitions_base = 0;
         bool started = false; ///< false: schedule was empty at start
@@ -263,13 +194,13 @@ class DualSim
     };
 
     /**
-     * Snapshot of one lane at a confirmed lockstep point, from which
-     * the Phase-3 sanitized run can resume. Pooled: the Core and
-     * Memory copies reuse their storage across iterations.
+     * Snapshot of one lane at the transient boundary (so the lane has
+     * started: a packet precedes the transient one). Pooled: the Core
+     * and Memory copies reuse their storage across runs.
      */
-    struct FusedCapture
+    struct LaneCapture
     {
-        explicit FusedCapture(const uarch::CoreConfig &config)
+        explicit LaneCapture(const uarch::CoreConfig &config)
             : core(config)
         {}
         uarch::Core core;
@@ -277,9 +208,32 @@ class DualSim
         DutResult result;
         uint64_t packet_cycles = 0;
         size_t cursor = 0;
-        bool runtime_started = false;
-        bool started = false;
         bool done = false;
+    };
+
+    /**
+     * Exact copy of what the captured prefix depends on: every
+     * schedule field except the transient packet's instructions, the
+     * stimulus data, the mode and both cycle budgets, and whether the
+     * capture recorded a taint log. Pooled: `schedule.packets` never
+     * shrinks, so a warm copy allocates nothing.
+     */
+    struct PrefixKey
+    {
+        swapmem::SwapSchedule schedule; ///< first `count` packets live
+        size_t count = 0;
+        size_t transient = 0;
+        StimulusData data;
+        SimOptions options;
+        bool valid = false; ///< the lane captures hold this prefix
+
+        void assign(const swapmem::SwapSchedule &schedule_in,
+                    size_t transient_in, const StimulusData &data_in,
+                    const SimOptions &options_in);
+        /** Can a run of these inputs resume from the capture? */
+        bool resumable(const swapmem::SwapSchedule &schedule_in,
+                       size_t transient_in, const StimulusData &data_in,
+                       const SimOptions &options_in) const;
     };
 
     void startLane(LaneRun &lr, const StimulusData &data,
@@ -296,20 +250,18 @@ class DualSim
 
     void runDualLockstep(const swapmem::SwapSchedule &schedule,
                          const StimulusData &data,
-                         const SimOptions &options, DualResult &out,
-                         bool allow_capture);
+                         const SimOptions &options, DualResult &out);
 
     /**
      * The lockstep main loop, solo tails and lane finish, shared by
-     * the full run (runDualLockstep) and the fused Phase-3 resume
-     * (runFusedPhase3). @p allow_capture enables the fusion snapshot
-     * hook at confirmed iteration bottoms.
+     * runs from reset and resumed runs. Snapshots both lanes when a
+     * swap cursor first reaches packet @p capture_at (SIZE_MAX: never).
      */
     void lockstepLoop(LaneRun &l0, LaneRun &l1,
-                      const SimOptions &options, bool allow_capture);
+                      const SimOptions &options, size_t capture_at);
 
-    void captureLane(FusedCapture &cap, const LaneRun &lr);
-    void restoreLane(const FusedCapture &cap, LaneRun &lr,
+    void captureLane(LaneCapture &cap, const LaneRun &lr);
+    void restoreLane(const LaneCapture &cap, LaneRun &lr,
                      const SimOptions &options, size_t transient_index);
 
     void buildMemory(swapmem::Memory &mem, const StimulusData &data,
@@ -321,15 +273,16 @@ class DualSim
     /** Checkpoint target for the lockstep redo protocol (pooled so
      *  the per-checkpoint copy reuses vector storage). */
     uarch::Core ckpt_core_;
-    TraceStore store_a_;
-    TraceStore store_b_;
-    /** Phase-3 fusion snapshots (lane 0 / lane 1). */
-    FusedCapture fused0_;
-    FusedCapture fused1_;
-    /** Sanitized schedule the armed capture will resume onto. */
-    const swapmem::SwapSchedule *fusion_sanitized_ = nullptr;
-    bool fusion_armed_ = false;
-    bool fusion_captured_ = false;
+    /** Control traces lane 0 / lane 1 recorded this lockstep cycle;
+     *  a trace is only ever read by the sibling in the same cycle. */
+    ift::ControlTrace trace0_;
+    ift::ControlTrace trace1_;
+    /** Transient-boundary snapshots (lane 0 / lane 1) and the
+     *  prefix they were taken on. */
+    LaneCapture capture0_;
+    LaneCapture capture1_;
+    PrefixKey prefix_;
+    uint64_t simulations_ = 0;
 };
 
 } // namespace dejavuzz::harness

@@ -38,7 +38,7 @@ namespace dejavuzz::obs {
 enum class Ctr : uint8_t {
     Iterations,    ///< fuzzing iterations completed
     Batches,       ///< scheduler batches executed
-    Simulations,   ///< simulator passes (single + dual)
+    Simulations,   ///< logical simulations (runSingle 1, runDual 2)
     Rollbacks,     ///< lockstep divergence rollbacks
     RedoCycles,    ///< cycles re-executed after rollbacks
     Checkpoints,   ///< lockstep checkpoints taken
@@ -47,7 +47,7 @@ enum class Ctr : uint8_t {
     StealHits,     ///< steal() calls that found a batch
     TaintTransitions,  ///< taint-account contribution changes applied
     TaintRescanChecks, ///< incremental-vs-rescan cross-checks run
-    FusedLaneCycles,   ///< Phase-3 cycles saved by lane fusion
+    FusedLaneCycles,   ///< prefix cycles skipped by runDual resumes
     BatchRetries,      ///< failed/timed-out batches re-executed
     BatchDeadlineKills,    ///< batches cut off by the wall deadline
     QuarantinedSeeds,      ///< seeds moved to quarantine.jsonl

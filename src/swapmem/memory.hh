@@ -103,8 +103,9 @@ class Memory
     /**
      * Double-fetch swap: XOR-mutate the secret bytes in place (via the
      * undo-covered byte store, so speculative rollback restores them).
-     * Idempotent per swap generation - the flag makes replayed packet
-     * loads after a Phase-3 fused reload apply the swap exactly once.
+     * Idempotent per swap generation - the flag makes the packet
+     * reload after a transient-boundary resume apply the swap exactly
+     * once.
      */
     void applySecretSwap();
     bool secretSwapped() const { return flags_.secret_swapped; }

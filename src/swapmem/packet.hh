@@ -99,24 +99,24 @@ class SwapRuntime
 
     bool done() const { return cursor_ >= schedule_->packets.size(); }
     size_t cursor() const { return cursor_; }
-    bool started() const { return started_; }
 
     /**
-     * Resume mid-schedule without touching memory: the caller restored
-     * a memory snapshot taken at this cursor position on a schedule
-     * whose packets [0, cursor] are identical (Phase-3 lane fusion).
+     * Resume a started run mid-schedule without touching memory: the
+     * caller restored a memory snapshot taken at this cursor position
+     * on a schedule that differs at most in the transient packet's
+     * instructions (DualSim's transient-boundary resume).
      */
     void
-    resumeAt(size_t cursor, bool started)
+    resumeAt(size_t cursor)
     {
         cursor_ = cursor;
-        started_ = started;
+        started_ = true;
     }
 
     /**
      * Reload the current packet into @p mem — needed after resumeAt
      * when this schedule's current packet differs from the one the
-     * snapshot was taken under (the sanitized transient packet).
+     * snapshot was taken under (another transient packet).
      */
     void
     reload(Memory &mem)

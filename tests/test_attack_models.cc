@@ -82,7 +82,8 @@ TEST(SecretSwap, IdempotentAndUndoCovered)
     mem.applySecretSwap();
     EXPECT_TRUE(mem.secretSwapped());
     EXPECT_EQ(mem.byte(swapmem::kSecretAddr), v1 ^ 0x5a);
-    // A second application is a no-op (Phase-3 fused reload path).
+    // A second application is a no-op (the reload after a
+    // transient-boundary resume).
     mem.applySecretSwap();
     EXPECT_EQ(mem.byte(swapmem::kSecretAddr), v1 ^ 0x5a);
     // Speculative rollback restores the pre-swap bytes and flag.

@@ -7,19 +7,23 @@
  * reference built here on the public Core/Memory/SwapRuntime/TaintCtx
  * calls — with the same sinks, taint logs, trace logs and
  * timing/state hashes, across the PoC suite, real triggered windows
- * and every IftMode. The fused Phase-3 lane (resume from the Phase-2
- * transient-boundary snapshot) must be bit-identical to a standalone
- * sanitized run. And because DualSim pools its cores/memories/result
- * buffers, a reused instance must be bit-identical to a freshly
- * constructed one.
+ * and every IftMode. A run that resumes from the transient-boundary
+ * snapshot (a Phase-2 mutation, the Phase-3 sanitized twin) must be
+ * bit-identical to a run from reset, whatever ran before it. And
+ * because DualSim pools its cores/memories/result buffers, a reused
+ * instance must be bit-identical to a freshly constructed one.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
 
 #include "bench/poc_suite.hh"
 #include "core/phases.hh"
 #include "core/stimgen.hh"
 #include "harness/dualsim.hh"
+#include "obs/telemetry.hh"
 #include "swapmem/packet.hh"
 #include "uarch/config.hh"
 #include "uarch/core.hh"
@@ -166,7 +170,6 @@ class FourPassOracle
                  out.dut0);
             pass(schedule, data, options, true, nullptr, nullptr,
                  out.dut1);
-            out.sim_passes = 2;
             return out;
         }
         SimOptions value_options = options;
@@ -181,7 +184,6 @@ class FourPassOracle
              discarded);
         pass(schedule, data, options, false, nullptr, &traces1, out.dut0);
         pass(schedule, data, options, true, nullptr, &traces0, out.dut1);
-        out.sim_passes = 4;
         return out;
     }
 
@@ -258,6 +260,23 @@ class FourPassOracle
     uarch::CoreConfig cfg_;
 };
 
+/** Prefix cycles skipped by resumes so far (process-wide counter). */
+uint64_t
+resumedCycles()
+{
+    return obs::snapshot().counter(obs::Ctr::FusedLaneCycles);
+}
+
+/** A run from reset: a DualSim that has never captured a snapshot. */
+DualResult
+freshDual(const uarch::CoreConfig &cfg,
+          const swapmem::SwapSchedule &schedule,
+          const harness::StimulusData &data, const SimOptions &options)
+{
+    DualSim fresh(cfg);
+    return fresh.runDual(schedule, data, options);
+}
+
 /** Generate Phase-1-triggered, window-completed test cases. */
 std::vector<TestCase>
 triggeredCases(const uarch::CoreConfig &cfg, unsigned want)
@@ -290,7 +309,6 @@ TEST(DualSimEquivalence, LockstepMatchesFourPassOnPocSuite)
         SCOPED_TRACE(poc.name);
         auto a = lockstep_sim.runDual(poc.schedule, poc.data, options);
         auto b = oracle.run(poc.schedule, poc.data, options);
-        EXPECT_EQ(a.sim_passes, 2u);
         expectDualEqual(a, b);
     }
 }
@@ -327,7 +345,6 @@ TEST(DualSimEquivalence, SinglePassModesMatchOracle)
         SCOPED_TRACE(static_cast<int>(mode));
         auto a = sim.runDual(poc.schedule, poc.data, fullOptions(mode));
         auto b = oracle.run(poc.schedule, poc.data, fullOptions(mode));
-        EXPECT_EQ(a.sim_passes, 2u);
         expectDualEqual(a, b);
     }
 }
@@ -341,7 +358,6 @@ TEST(DualSimEquivalence, FusedPhase3MatchesStandaloneSanitizedRun)
         auto cases = triggeredCases(cfg, 6);
         ASSERT_FALSE(cases.empty());
         DualSim fused_sim(cfg);
-        DualSim standalone_sim(cfg);
         size_t checked = 0;
         for (size_t i = 0; i < cases.size(); ++i) {
             SCOPED_TRACE(i);
@@ -355,34 +371,32 @@ TEST(DualSimEquivalence, FusedPhase3MatchesStandaloneSanitizedRun)
             // exercises the generic prefix-log retention path.
             for (bool taint_log : {false, true}) {
                 SCOPED_TRACE(taint_log);
-                fused_sim.armFusion(&sanitized);
                 DualResult phase2;
                 fused_sim.runDual(
                     tc.schedule, tc.data,
                     fullOptions(ift::IftMode::DiffIFT), phase2);
-                ASSERT_TRUE(fused_sim.fusionCaptured());
 
-                // The capture hook must leave the Phase-2 run itself
-                // unchanged.
-                DualResult unarmed;
-                standalone_sim.runDual(
-                    tc.schedule, tc.data,
-                    fullOptions(ift::IftMode::DiffIFT), unarmed);
-                expectDualEqual(phase2, unarmed);
+                // Taking (or resuming from) the snapshot must leave
+                // the Phase-2 run itself unchanged.
+                expectDualEqual(
+                    phase2, freshDual(cfg, tc.schedule, tc.data,
+                                      fullOptions(ift::IftMode::DiffIFT)));
 
                 SimOptions p3;
                 p3.mode = ift::IftMode::DiffIFT;
                 p3.sinks = true;
                 p3.taint_log = taint_log;
+                const uint64_t before = resumedCycles();
+                const uint64_t sims = fused_sim.simulations();
                 DualResult fused;
-                fused_sim.runFusedPhase3(p3, fused);
-                EXPECT_EQ(fused.sim_passes, 1u);
-                EXPECT_FALSE(fused_sim.fusionCaptured());
+                fused_sim.runDual(sanitized, tc.data, p3, fused);
+                // The sanitized twin resumed from the Phase-2
+                // snapshot, yet counts as a full dual run.
+                EXPECT_GT(resumedCycles(), before);
+                EXPECT_EQ(fused_sim.simulations() - sims, 2u);
 
-                DualResult standalone;
-                standalone_sim.runDual(sanitized, tc.data, p3,
-                                       standalone);
-                expectDualEqual(fused, standalone);
+                expectDualEqual(fused,
+                                freshDual(cfg, sanitized, tc.data, p3));
             }
         }
         EXPECT_GT(checked, 0u);
@@ -391,41 +405,41 @@ TEST(DualSimEquivalence, FusedPhase3MatchesStandaloneSanitizedRun)
 
 TEST(DualSimEquivalence, FusionOnOffIsIdentityThroughPhase3)
 {
-    // End-to-end through the phase drivers: Phase 2 arms the fusion
-    // capture, and its differential result must equal an unarmed run
-    // of the same case on a second DualSim. Phase 3 on the DualSim
-    // that ran Phase 2 resumes the fused third lane; Phase 3 on the
-    // second DualSim, which never captured, runs the standalone
-    // sanitized simulation. Both must reach the same verdicts, with
-    // the fused path spending one simulation pass where the
-    // standalone path spends two.
+    // End-to-end through the phase drivers: Phase 2 snapshots the
+    // transient boundary, and its differential result must equal a
+    // run from reset. Phase 3 on the DualSim that ran Phase 2 resumes
+    // its sanitized run from the snapshot; Phase 3 on a fresh DualSim
+    // runs it from reset. Both must reach the same verdicts and count
+    // the same logical simulations.
     auto cfg = uarch::smallBoomConfig();
     StimGen gen(cfg);
     auto cases = triggeredCases(cfg, 4);
     ASSERT_FALSE(cases.empty());
 
     DualSim fused_sim(cfg);
-    DualSim plain_sim(cfg);
     ift::TaintCoverage coverage;
     auto ids = uarch::Core::registerModules(coverage, cfg);
     SimOptions base;
     base.mode = ift::IftMode::DiffIFT;
-    core::Phase2 phase2(fused_sim, base, coverage, ids, gen);
+    core::Phase2 phase2(fused_sim, base, coverage, ids);
     core::Phase3 phase3_fused(fused_sim, base, gen);
-    core::Phase3 phase3_plain(plain_sim, base, gen);
 
-    size_t captured = 0;
+    size_t resumed = 0;
     for (size_t i = 0; i < cases.size(); ++i) {
         SCOPED_TRACE(i);
         const core::Phase2Result &explored = phase2.run(cases[i]);
-        if (fused_sim.fusionCaptured())
-            ++captured;
-        DualResult unarmed;
-        plain_sim.runDual(cases[i].schedule, cases[i].data,
-                          fullOptions(ift::IftMode::DiffIFT), unarmed);
-        expectDualEqual(explored.dual, unarmed);
+        expectDualEqual(explored.dual,
+                        freshDual(cfg, cases[i].schedule, cases[i].data,
+                                  fullOptions(ift::IftMode::DiffIFT)));
 
+        const uint64_t before = resumedCycles();
+        const uint64_t fused_sims = fused_sim.simulations();
         core::Phase3Result va = phase3_fused.run(cases[i], explored);
+        const uint64_t fused_spent = fused_sim.simulations() - fused_sims;
+        const bool fused_resumed = resumedCycles() > before;
+
+        DualSim plain_sim(cfg);
+        core::Phase3 phase3_plain(plain_sim, base, gen);
         core::Phase3Result vb = phase3_plain.run(cases[i], explored);
 
         EXPECT_EQ(va.leak, vb.leak);
@@ -436,15 +450,170 @@ TEST(DualSimEquivalence, FusionOnOffIsIdentityThroughPhase3)
             EXPECT_EQ(va.report->channel, vb.report->channel);
             EXPECT_EQ(va.report->components, vb.report->components);
         }
-        if (vb.simulations == 2) {
-            // The sanitized analysis actually ran: fusion must have
-            // collapsed it to a single pass.
-            EXPECT_EQ(va.simulations, 1u);
-        } else {
-            EXPECT_EQ(va.simulations, vb.simulations);
+        EXPECT_EQ(fused_spent, plain_sim.simulations());
+        // The sanitized analysis ran exactly when Phase 3 spent a
+        // dual run, and then it must have resumed.
+        EXPECT_EQ(fused_resumed, fused_spent == 2);
+        resumed += fused_resumed;
+    }
+    EXPECT_GT(resumed, 0u);
+}
+
+TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
+{
+    // Phase 2 -> mutations -> Phase 3 -> another seed -> back, with
+    // single-pass runs mixed in. Every result must equal a fresh
+    // DualSim's, and every run that shares the snapshot's prefix must
+    // resume from it: a key that never matches fails here.
+    for (const auto &cfg : {uarch::smallBoomConfig(),
+                            uarch::xiangshanMinimalConfig()}) {
+        SCOPED_TRACE(cfg.name);
+        StimGen gen(cfg);
+        std::vector<TestCase> seeds;
+        for (TestCase &tc : triggeredCases(cfg, 6)) {
+            if (tc.has_window_payload)
+                seeds.push_back(std::move(tc));
+        }
+        ASSERT_GE(seeds.size(), 2u);
+        DualSim sim(cfg);
+        Rng rng(0x1e5a);
+
+        auto run = [&](const char *what,
+                       const swapmem::SwapSchedule &schedule,
+                       const harness::StimulusData &data,
+                       const SimOptions &options,
+                       std::optional<bool> expect_resume) {
+            SCOPED_TRACE(what);
+            const uint64_t before = resumedCycles();
+            DualResult got;
+            sim.runDual(schedule, data, options, got);
+            if (expect_resume.has_value()) {
+                EXPECT_EQ(resumedCycles() > before, *expect_resume);
+            }
+            expectDualEqual(got, freshDual(cfg, schedule, data, options));
+        };
+
+        for (bool p2_log : {true, false}) {
+            SCOPED_TRACE(p2_log);
+            SimOptions p2 = fullOptions(ift::IftMode::DiffIFT);
+            p2.taint_log = p2_log;
+            SimOptions p3 = p2;
+            p3.taint_log = false;
+            TestCase a = seeds[0];
+            const TestCase &b = seeds[1];
+
+            run("phase 2", a.schedule, a.data, p2, std::nullopt);
+            for (unsigned k = 0; k < 3; ++k) {
+                SCOPED_TRACE(k);
+                gen.mutateWindow(a, rng.next());
+                // Single-pass modes neither take nor consume the
+                // snapshot.
+                auto mode = k % 2 == 0 ? ift::IftMode::Off
+                                       : ift::IftMode::CellIFT;
+                run("single-pass dual", a.schedule, a.data,
+                    fullOptions(mode), std::nullopt);
+                DutResult single =
+                    sim.runSingle(a.schedule, a.data, SimOptions{});
+                DualSim fresh(cfg);
+                expectDutEqual(single,
+                               fresh.runSingle(a.schedule, a.data),
+                               "runSingle");
+                run("mutated phase 2", a.schedule, a.data, p2, true);
+            }
+            run("phase 3", gen.sanitizedSchedule(a), a.data, p3, true);
+            // One flipped secret bit, then one flipped operand bit on
+            // top: each alone changes the prefix.
+            harness::StimulusData other_secret = a.data;
+            other_secret.secret[0] ^= 1;
+            run("other secret", a.schedule, other_secret, p2, false);
+            harness::StimulusData other_operand = other_secret;
+            ASSERT_FALSE(other_operand.operands.empty());
+            other_operand.operands[0] ^= 1;
+            run("other operand", a.schedule, other_operand, p2, false);
+            // The transient packet's entry is part of the prefix too:
+            // the boundary tick jumps to it.
+            swapmem::SwapSchedule other_entry = a.schedule;
+            other_entry.packets[other_entry.transientIndex()].entry += 4;
+            run("other entry", other_entry, other_operand, p2, false);
+            SimOptions other_budget = p2;
+            other_budget.packet_cycle_budget += 1;
+            run("other packet budget", other_entry, other_operand,
+                other_budget, false);
+            other_budget.total_cycle_budget += 1;
+            run("other total budget", other_entry, other_operand,
+                other_budget, false);
+            run("other seed", b.schedule, b.data, p2, false);
+            gen.mutateWindow(a, rng.next());
+            run("back: phase 2", a.schedule, a.data, p2, false);
+            run("back: phase 3", gen.sanitizedSchedule(a), a.data, p3,
+                true);
+            if (!p2_log) {
+                // A run that needs a taint log cannot resume from a
+                // capture that recorded none; it takes a new one.
+                SimOptions logged = p2;
+                logged.taint_log = true;
+                run("needs a log", a.schedule, a.data, logged, false);
+                gen.mutateWindow(a, rng.next());
+                run("logged mutation", a.schedule, a.data, logged,
+                    true);
+            }
         }
     }
-    EXPECT_GT(captured, 0u);
+}
+
+TEST(DualSimResume, ExitStateCaptureSurvivesUnrelatedRun)
+{
+    // The cycle budget runs out during training, so the snapshot is
+    // the lanes' exit state. An unrelated lockstep run in between
+    // overwrites the lanes and trace buffers; the resumed run with a
+    // different transient packet must still equal a run from reset.
+    for (const auto &cfg : {uarch::smallBoomConfig(),
+                            uarch::xiangshanMinimalConfig()}) {
+        SCOPED_TRACE(cfg.name);
+        StimGen gen(cfg);
+        auto cases = triggeredCases(cfg, 4);
+        ASSERT_GE(cases.size(), 2u);
+        TestCase tc = cases[0];
+        const size_t t = tc.schedule.transientIndex();
+        ASSERT_GT(t, 0u);
+
+        SimOptions options = fullOptions(ift::IftMode::DiffIFT);
+        DualResult full =
+            freshDual(cfg, tc.schedule, tc.data, options);
+        ASSERT_GT(full.dut0.packet_start.size(), t);
+        ASSERT_GT(full.dut1.packet_start.size(), t);
+        options.total_cycle_budget =
+            std::min(full.dut0.packet_start[t],
+                     full.dut1.packet_start[t]) / 2;
+        ASSERT_GT(options.total_cycle_budget, 0u);
+
+        // Unrelated: another case's transient packet alone. With no
+        // training prefix the run takes no snapshot of its own, and
+        // it runs far longer than the budget-cut capture.
+        const TestCase &other = cases[1];
+        swapmem::SwapSchedule bare = other.schedule;
+        bare.packets = {
+            other.schedule.packets[other.schedule.transientIndex()]};
+
+        DualSim sim(cfg);
+        DualResult got;
+        sim.runDual(tc.schedule, tc.data, options, got);
+        expectDualEqual(got,
+                        freshDual(cfg, tc.schedule, tc.data, options));
+        const SimOptions unrelated = fullOptions(ift::IftMode::DiffIFT);
+        sim.runDual(bare, other.data, unrelated, got);
+        expectDualEqual(got, freshDual(cfg, bare, other.data, unrelated));
+
+        TestCase mutated = tc;
+        gen.mutateWindow(mutated, 0x5eed);
+        ASSERT_FALSE(mutated.schedule.packets[t].instrs ==
+                     tc.schedule.packets[t].instrs);
+        const uint64_t before = resumedCycles();
+        sim.runDual(mutated.schedule, mutated.data, options, got);
+        EXPECT_GT(resumedCycles(), before);
+        expectDualEqual(got, freshDual(cfg, mutated.schedule,
+                                       mutated.data, options));
+    }
 }
 
 TEST(DualSimReuse, PooledRunsMatchFreshInstance)

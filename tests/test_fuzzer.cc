@@ -150,7 +150,7 @@ TEST(Phase2, TaintPropagatesAndCoverageGrows)
     options.mode = ift::IftMode::DiffIFT;
     ift::TaintCoverage coverage;
     auto ids = uarch::Core::registerModules(coverage, cfg);
-    Phase2 phase2(sim, options, coverage, ids, gen);
+    Phase2 phase2(sim, options, coverage, ids);
 
     // Several mutations: at least one must propagate taint.
     bool propagated = false;
@@ -176,7 +176,7 @@ TEST(Phase3, FindsLeakOnBuggyBoom)
     ift::TaintCoverage coverage;
     auto ids = uarch::Core::registerModules(coverage, cfg);
     Phase1 phase1(sim, options);
-    Phase2 phase2(sim, options, coverage, ids, gen);
+    Phase2 phase2(sim, options, coverage, ids);
     Phase3 phase3(sim, options, gen);
 
     Rng rng(4242);
@@ -273,6 +273,41 @@ hashes(const std::vector<TestCase> &cases)
     return out;
 }
 
+/** Everything a batch reports must match between two executors. */
+void
+expectSameBatch(const BatchOutcome &a, const BatchOutcome &b)
+{
+    EXPECT_EQ(a.res.iterations, b.res.iterations);
+    EXPECT_EQ(a.res.simulations, b.res.simulations);
+    EXPECT_EQ(a.res.windows_triggered, b.res.windows_triggered);
+    EXPECT_EQ(a.res.phase1_attempts, b.res.phase1_attempts);
+    EXPECT_EQ(a.res.phase2_runs, b.res.phase2_runs);
+    EXPECT_EQ(a.res.phase3_runs, b.res.phase3_runs);
+    EXPECT_EQ(a.res.seeds_imported, b.res.seeds_imported);
+    EXPECT_EQ(a.res.training_overhead, b.res.training_overhead);
+    EXPECT_EQ(a.res.effective_training, b.res.effective_training);
+    EXPECT_EQ(a.res.new_coverage, b.res.new_coverage);
+    EXPECT_EQ(a.res.deadline_hit, b.res.deadline_hit);
+    for (unsigned k = 0; k < core::kTriggerKinds; ++k) {
+        const auto &ta = a.res.triggers[k];
+        const auto &tb = b.res.triggers[k];
+        EXPECT_EQ(ta.windows, tb.windows) << k;
+        EXPECT_EQ(ta.training_overhead, tb.training_overhead) << k;
+        EXPECT_EQ(ta.effective_overhead, tb.effective_overhead) << k;
+        EXPECT_EQ(ta.attempts, tb.attempts) << k;
+    }
+    ASSERT_EQ(a.res.bugs.size(), b.res.bugs.size());
+    for (size_t i = 0; i < a.res.bugs.size(); ++i) {
+        EXPECT_EQ(a.res.bugs[i].key(), b.res.bugs[i].key());
+        EXPECT_EQ(a.res.bugs[i].iteration, b.res.bugs[i].iteration);
+    }
+    EXPECT_EQ(hashes(a.res.bug_cases), hashes(b.res.bug_cases));
+    EXPECT_EQ(hashes(a.res.leftover_inject),
+              hashes(b.res.leftover_inject));
+    EXPECT_EQ(a.coverage, b.coverage);
+    EXPECT_EQ(a.offers, b.offers);
+}
+
 TEST(Fuzzer, RunBatchIsExecutorIndependent)
 {
     // The invariant batch work-stealing rests on: a batch's outcome
@@ -328,41 +363,22 @@ TEST(Fuzzer, RunBatchIsExecutorIndependent)
     runObserved(used, other);
     const BatchOutcome b = runObserved(used, spec);
 
+    // An executor whose last run was a Phase 2 of the batch's first
+    // seed holds that seed's transient-boundary snapshot, so the
+    // batch's first Phase-2 run resumes from it instead of starting
+    // from reset. Logical counts and results must not change.
+    Fuzzer primed(config, other_options);
+    primed.replayCase(inject.front());
+    const BatchOutcome c = runObserved(primed, spec);
+
     // The batch did real work: adopted seeds, opened windows,
     // offered corpus entries.
     EXPECT_GT(a.res.seeds_imported, 0u);
     EXPECT_GT(a.res.windows_triggered, 0u);
     EXPECT_FALSE(a.offers.empty());
 
-    EXPECT_EQ(a.res.iterations, b.res.iterations);
-    EXPECT_EQ(a.res.simulations, b.res.simulations);
-    EXPECT_EQ(a.res.windows_triggered, b.res.windows_triggered);
-    EXPECT_EQ(a.res.phase1_attempts, b.res.phase1_attempts);
-    EXPECT_EQ(a.res.phase2_runs, b.res.phase2_runs);
-    EXPECT_EQ(a.res.phase3_runs, b.res.phase3_runs);
-    EXPECT_EQ(a.res.seeds_imported, b.res.seeds_imported);
-    EXPECT_EQ(a.res.training_overhead, b.res.training_overhead);
-    EXPECT_EQ(a.res.effective_training, b.res.effective_training);
-    EXPECT_EQ(a.res.new_coverage, b.res.new_coverage);
-    EXPECT_EQ(a.res.deadline_hit, b.res.deadline_hit);
-    for (unsigned k = 0; k < core::kTriggerKinds; ++k) {
-        const auto &ta = a.res.triggers[k];
-        const auto &tb = b.res.triggers[k];
-        EXPECT_EQ(ta.windows, tb.windows) << k;
-        EXPECT_EQ(ta.training_overhead, tb.training_overhead) << k;
-        EXPECT_EQ(ta.effective_overhead, tb.effective_overhead) << k;
-        EXPECT_EQ(ta.attempts, tb.attempts) << k;
-    }
-    ASSERT_EQ(a.res.bugs.size(), b.res.bugs.size());
-    for (size_t i = 0; i < a.res.bugs.size(); ++i) {
-        EXPECT_EQ(a.res.bugs[i].key(), b.res.bugs[i].key());
-        EXPECT_EQ(a.res.bugs[i].iteration, b.res.bugs[i].iteration);
-    }
-    EXPECT_EQ(hashes(a.res.bug_cases), hashes(b.res.bug_cases));
-    EXPECT_EQ(hashes(a.res.leftover_inject),
-              hashes(b.res.leftover_inject));
-    EXPECT_EQ(a.coverage, b.coverage);
-    EXPECT_EQ(a.offers, b.offers);
+    expectSameBatch(a, b);
+    expectSameBatch(a, c);
 }
 
 TEST(SpecDoctorBaseline, FindsRollbacksAndCandidates)

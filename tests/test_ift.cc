@@ -123,8 +123,9 @@ TEST(TaintCoverage, ImportsNeverCountAsLocalGain)
     local.mergeFrom(other);
     EXPECT_EQ(local.takeNewPoints(), 0u);
     const bool was_new = local.markSlot(2, 7);
-    if (was_new)
+    if (was_new) {
         EXPECT_EQ(local.takeNewPoints(), 0u);
+    }
 
     // A genuine local sample still counts.
     if (!local.slotSet(4, 99)) {

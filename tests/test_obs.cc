@@ -53,9 +53,10 @@ TEST(ObsHistogram, BucketLowRoundTrips)
     for (unsigned b = 0; b < obs::kHistBuckets; ++b) {
         EXPECT_EQ(obs::histBucket(obs::histBucketLow(b)), b);
         // One below the lower bound lands in the previous bucket.
-        if (b >= 2)
+        if (b >= 2) {
             EXPECT_EQ(obs::histBucket(obs::histBucketLow(b) - 1),
                       b - 1);
+        }
     }
 }
 

@@ -33,7 +33,10 @@ uint64_t g_heap_allocs = 0;
 
 } // namespace
 
-void *
+// The replacements pair malloc with free. They stay out of line: once
+// inlined into a `delete` expression, GCC sees free() applied to an
+// operator-new result and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void *
 operator new(std::size_t bytes)
 {
     ++g_heap_allocs;
@@ -42,13 +45,13 @@ operator new(std::size_t bytes)
     throw std::bad_alloc();
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *ptr) noexcept
 {
     std::free(ptr);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *ptr, std::size_t) noexcept
 {
     std::free(ptr);
@@ -228,8 +231,9 @@ TEST(IsaEncoding, IllegalWordsRoundTripThroughRaw)
     for (int trial = 0; trial < 5000; ++trial) {
         const auto word = static_cast<uint32_t>(rng.next());
         const Instr decoded = isa::decode(word);
-        if (decoded.op == Op::ILLEGAL)
+        if (decoded.op == Op::ILLEGAL) {
             EXPECT_EQ(isa::encode(decoded), word);
+        }
     }
 }
 

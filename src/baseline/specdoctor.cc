@@ -250,6 +250,7 @@ SpecDoctor::iterate()
     // components (including the data they hold).
     harness::SimOptions dual_options = options_.sim;
     dual_options.mode = ift::IftMode::Off;
+    dual_options.state_hash = true;
     auto dual = sim_.runDual(schedule, data, dual_options);
     stats_.simulations += 2;
     if (replay_hook)
@@ -267,7 +268,9 @@ SpecDoctor::iterate()
     candidates_.push_back(std::move(candidate));
 
     // Phase secret-receive: append random instructions and hope they
-    // decode the secret into an architectural timing difference.
+    // decode the secret into an architectural timing difference. The
+    // decode runs compare cycles and commits, not hashes.
+    dual_options.state_hash = false;
     for (unsigned attempt = 0; attempt < options_.decode_attempts;
          ++attempt) {
         SwapSchedule probe = schedule;

@@ -233,10 +233,12 @@ DualSim::finishLane(LaneRun &lr, const SimOptions &options)
 {
     lr.result.cycles = lr.lane.core.cycle();
     lr.result.contention = lr.lane.core.contention;
-    lr.result.timing_hash = lr.lane.core.timingStateHash();
-    lr.result.state_hash =
-        fnv1a(lr.result.timing_hash,
-              lr.lane.core.cachedDataHash(lr.lane.mem));
+    if (options.state_hash) {
+        lr.result.timing_hash = lr.lane.core.timingStateHash();
+        lr.result.state_hash =
+            fnv1a(lr.result.timing_hash,
+                  lr.lane.core.cachedDataHash(lr.lane.mem));
+    }
     if (options.sinks)
         lr.lane.core.enumSinks(lr.result.sinks);
     else

@@ -67,6 +67,9 @@ struct SimOptions
     ift::IftMode mode = ift::IftMode::Off;
     bool taint_log = false;
     bool sinks = false;
+    /** Compute DutResult::timing_hash and state_hash (SpecDoctor's
+     *  oracle); both stay 0 otherwise. */
+    bool state_hash = false;
     uint64_t packet_cycle_budget = 1500;
     uint64_t total_cycle_budget = 20000;
 };
@@ -81,8 +84,10 @@ struct DutResult
     uint64_t cycles = 0;
     uarch::ContentionCounters contention;
     std::vector<ift::SinkSnapshot> sinks;
+    /** Hash of the timing components (only with SimOptions::state_hash). */
     uint64_t timing_hash = 0;
-    /** timing_hash folded with cached data (SpecDoctor's oracle). */
+    /** timing_hash folded with cached data (SpecDoctor's oracle; only
+     *  with SimOptions::state_hash). */
     uint64_t state_hash = 0;
     /** Cycle at which each packet started executing. */
     std::vector<uint64_t> packet_start;

@@ -7,58 +7,20 @@ namespace dejavuzz::isa {
 
 namespace {
 
-struct OpInfo
-{
-    const char *name;
-    OpClass cls;
-};
-
 constexpr size_t kNumOps = static_cast<size_t>(Op::NumOps);
 
-constexpr std::array<OpInfo, kNumOps> kOpInfo = {{
-    {"lui", OpClass::IntAlu},    {"auipc", OpClass::IntAlu},
-    {"jal", OpClass::Jal},       {"jalr", OpClass::Jalr},
-    {"beq", OpClass::Branch},    {"bne", OpClass::Branch},
-    {"blt", OpClass::Branch},    {"bge", OpClass::Branch},
-    {"bltu", OpClass::Branch},   {"bgeu", OpClass::Branch},
-    {"lb", OpClass::Load},       {"lh", OpClass::Load},
-    {"lw", OpClass::Load},       {"ld", OpClass::Load},
-    {"lbu", OpClass::Load},      {"lhu", OpClass::Load},
-    {"lwu", OpClass::Load},
-    {"sb", OpClass::Store},      {"sh", OpClass::Store},
-    {"sw", OpClass::Store},      {"sd", OpClass::Store},
-    {"addi", OpClass::IntAlu},   {"slti", OpClass::IntAlu},
-    {"sltiu", OpClass::IntAlu},  {"xori", OpClass::IntAlu},
-    {"ori", OpClass::IntAlu},    {"andi", OpClass::IntAlu},
-    {"slli", OpClass::IntAlu},   {"srli", OpClass::IntAlu},
-    {"srai", OpClass::IntAlu},
-    {"add", OpClass::IntAlu},    {"sub", OpClass::IntAlu},
-    {"sll", OpClass::IntAlu},    {"slt", OpClass::IntAlu},
-    {"sltu", OpClass::IntAlu},   {"xor", OpClass::IntAlu},
-    {"srl", OpClass::IntAlu},    {"sra", OpClass::IntAlu},
-    {"or", OpClass::IntAlu},     {"and", OpClass::IntAlu},
-    {"addiw", OpClass::IntAlu},  {"slliw", OpClass::IntAlu},
-    {"srliw", OpClass::IntAlu},  {"sraiw", OpClass::IntAlu},
-    {"addw", OpClass::IntAlu},   {"subw", OpClass::IntAlu},
-    {"sllw", OpClass::IntAlu},   {"srlw", OpClass::IntAlu},
-    {"sraw", OpClass::IntAlu},
-    {"mul", OpClass::MulDiv},    {"mulh", OpClass::MulDiv},
-    {"mulhu", OpClass::MulDiv},  {"div", OpClass::MulDiv},
-    {"divu", OpClass::MulDiv},   {"rem", OpClass::MulDiv},
-    {"remu", OpClass::MulDiv},   {"mulw", OpClass::MulDiv},
-    {"divw", OpClass::MulDiv},   {"remw", OpClass::MulDiv},
-    {"fence", OpClass::Fence},   {"fence.i", OpClass::Fence},
-    {"ecall", OpClass::System},  {"ebreak", OpClass::System},
-    {"mret", OpClass::System},   {"sret", OpClass::System},
-    {"csrrw", OpClass::System},  {"csrrs", OpClass::System},
-    {"csrrc", OpClass::System},
-    {"fld", OpClass::FpLoad},    {"fsd", OpClass::FpStore},
-    {"fadd.d", OpClass::FpAlu},  {"fsub.d", OpClass::FpAlu},
-    {"fmul.d", OpClass::FpAlu},  {"fdiv.d", OpClass::FpDiv},
-    {"fmv.x.d", OpClass::FpMove},{"fmv.d.x", OpClass::FpMove},
-    {"swapnext", OpClass::Custom},
-    {"illegal", OpClass::IllegalOp},
-}};
+constexpr std::array<const char *, kNumOps> kMnemonics = {
+    "lui", "auipc", "jal", "jalr", "beq", "bne", "blt", "bge", "bltu",
+    "bgeu", "lb", "lh", "lw", "ld", "lbu", "lhu", "lwu", "sb", "sh",
+    "sw", "sd", "addi", "slti", "sltiu", "xori", "ori", "andi", "slli",
+    "srli", "srai", "add", "sub", "sll", "slt", "sltu", "xor", "srl",
+    "sra", "or", "and", "addiw", "slliw", "srliw", "sraiw", "addw",
+    "subw", "sllw", "srlw", "sraw", "mul", "mulh", "mulhu", "div",
+    "divu", "rem", "remu", "mulw", "divw", "remw", "fence", "fence.i",
+    "ecall", "ebreak", "mret", "sret", "csrrw", "csrrs", "csrrc", "fld",
+    "fsd", "fadd.d", "fsub.d", "fmul.d", "fdiv.d", "fmv.x.d", "fmv.d.x",
+    "swapnext", "illegal",
+};
 
 constexpr std::array<const char *, 32> kRegNames = {
     "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2",
@@ -76,160 +38,10 @@ constexpr std::array<const char *, 32> kFregNames = {
 
 } // namespace
 
-OpClass
-opClass(Op op)
-{
-    return kOpInfo[static_cast<size_t>(op)].cls;
-}
-
 const char *
 mnemonic(Op op)
 {
-    return kOpInfo[static_cast<size_t>(op)].name;
-}
-
-bool
-isBranch(Op op)
-{
-    return opClass(op) == OpClass::Branch;
-}
-
-bool
-isLoad(Op op)
-{
-    OpClass c = opClass(op);
-    return c == OpClass::Load || c == OpClass::FpLoad;
-}
-
-bool
-isStore(Op op)
-{
-    OpClass c = opClass(op);
-    return c == OpClass::Store || c == OpClass::FpStore;
-}
-
-unsigned
-accessBytes(Op op)
-{
-    switch (op) {
-      case Op::LB: case Op::LBU: case Op::SB:
-        return 1;
-      case Op::LH: case Op::LHU: case Op::SH:
-        return 2;
-      case Op::LW: case Op::LWU: case Op::SW:
-        return 4;
-      case Op::LD: case Op::SD: case Op::FLD: case Op::FSD:
-        return 8;
-      default:
-        return 0;
-    }
-}
-
-bool
-loadSigned(Op op)
-{
-    switch (op) {
-      case Op::LB: case Op::LH: case Op::LW:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-writesIntRd(Op op)
-{
-    switch (opClass(op)) {
-      case OpClass::IntAlu:
-      case OpClass::MulDiv:
-      case OpClass::Load:
-      case OpClass::Jal:
-      case OpClass::Jalr:
-        return true;
-      case OpClass::System:
-        return op == Op::CSRRW || op == Op::CSRRS || op == Op::CSRRC;
-      case OpClass::FpMove:
-        return op == Op::FMV_X_D;
-      default:
-        return false;
-    }
-}
-
-bool
-readsIntRs1(Op op)
-{
-    switch (op) {
-      case Op::LUI: case Op::AUIPC: case Op::JAL:
-      case Op::ECALL: case Op::EBREAK: case Op::MRET: case Op::SRET:
-      case Op::FENCE: case Op::FENCE_I: case Op::SWAPNEXT:
-      case Op::ILLEGAL:
-      case Op::FADD_D: case Op::FSUB_D: case Op::FMUL_D:
-      case Op::FDIV_D: case Op::FMV_X_D:
-        return false;
-      default:
-        return true;
-    }
-}
-
-bool
-readsIntRs2(Op op)
-{
-    switch (opClass(op)) {
-      case OpClass::Branch:
-      case OpClass::Store:
-        return true;
-      case OpClass::IntAlu:
-        // Register-register ALU forms only.
-        switch (op) {
-          case Op::ADD: case Op::SUB: case Op::SLL: case Op::SLT:
-          case Op::SLTU: case Op::XOR: case Op::SRL: case Op::SRA:
-          case Op::OR: case Op::AND: case Op::ADDW: case Op::SUBW:
-          case Op::SLLW: case Op::SRLW: case Op::SRAW:
-            return true;
-          default:
-            return false;
-        }
-      case OpClass::MulDiv:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-fpRd(Op op)
-{
-    switch (op) {
-      case Op::FLD: case Op::FADD_D: case Op::FSUB_D:
-      case Op::FMUL_D: case Op::FDIV_D: case Op::FMV_D_X:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-fpRs1(Op op)
-{
-    switch (op) {
-      case Op::FADD_D: case Op::FSUB_D: case Op::FMUL_D:
-      case Op::FDIV_D: case Op::FMV_X_D:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-fpRs2(Op op)
-{
-    switch (op) {
-      case Op::FADD_D: case Op::FSUB_D: case Op::FMUL_D:
-      case Op::FDIV_D: case Op::FSD:
-        return true;
-      default:
-        return false;
-    }
+    return kMnemonics[static_cast<size_t>(op)];
 }
 
 const char *

@@ -84,32 +84,196 @@ struct Instr
     }
 };
 
-/** Functional class of an operation. */
-OpClass opClass(Op op);
-
 /** Mnemonic string ("addi", "fdiv.d", ...). */
 const char *mnemonic(Op op);
 
+/** Functional class of an operation. */
+constexpr OpClass
+opClass(Op op)
+{
+    switch (op) {
+      case Op::JAL:
+        return OpClass::Jal;
+      case Op::JALR:
+        return OpClass::Jalr;
+      case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
+      case Op::BLTU: case Op::BGEU:
+        return OpClass::Branch;
+      case Op::LB: case Op::LH: case Op::LW: case Op::LD: case Op::LBU:
+      case Op::LHU: case Op::LWU:
+        return OpClass::Load;
+      case Op::SB: case Op::SH: case Op::SW: case Op::SD:
+        return OpClass::Store;
+      case Op::MUL: case Op::MULH: case Op::MULHU: case Op::DIV:
+      case Op::DIVU: case Op::REM: case Op::REMU: case Op::MULW:
+      case Op::DIVW: case Op::REMW:
+        return OpClass::MulDiv;
+      case Op::FENCE: case Op::FENCE_I:
+        return OpClass::Fence;
+      case Op::ECALL: case Op::EBREAK: case Op::MRET: case Op::SRET:
+      case Op::CSRRW: case Op::CSRRS: case Op::CSRRC:
+        return OpClass::System;
+      case Op::FLD:
+        return OpClass::FpLoad;
+      case Op::FSD:
+        return OpClass::FpStore;
+      case Op::FADD_D: case Op::FSUB_D: case Op::FMUL_D:
+        return OpClass::FpAlu;
+      case Op::FDIV_D:
+        return OpClass::FpDiv;
+      case Op::FMV_X_D: case Op::FMV_D_X:
+        return OpClass::FpMove;
+      case Op::SWAPNEXT:
+        return OpClass::Custom;
+      case Op::ILLEGAL:
+        return OpClass::IllegalOp;
+      default:
+        return OpClass::IntAlu; // lui, auipc, immediate and register ALU
+    }
+}
+
 /** True for conditional branches. */
-bool isBranch(Op op);
+constexpr bool isBranch(Op op) { return opClass(op) == OpClass::Branch; }
+
 /** True for any load (integer or FP). */
-bool isLoad(Op op);
+constexpr bool
+isLoad(Op op)
+{
+    OpClass c = opClass(op);
+    return c == OpClass::Load || c == OpClass::FpLoad;
+}
+
 /** True for any store (integer or FP). */
-bool isStore(Op op);
+constexpr bool
+isStore(Op op)
+{
+    OpClass c = opClass(op);
+    return c == OpClass::Store || c == OpClass::FpStore;
+}
+
 /** Byte width of a memory access op (0 for non-memory ops). */
-unsigned accessBytes(Op op);
+constexpr unsigned
+accessBytes(Op op)
+{
+    switch (op) {
+      case Op::LB: case Op::LBU: case Op::SB:
+        return 1;
+      case Op::LH: case Op::LHU: case Op::SH:
+        return 2;
+      case Op::LW: case Op::LWU: case Op::SW:
+        return 4;
+      case Op::LD: case Op::SD: case Op::FLD: case Op::FSD:
+        return 8;
+      default:
+        return 0;
+    }
+}
+
 /** True when the load sign-extends its result. */
-bool loadSigned(Op op);
+constexpr bool
+loadSigned(Op op)
+{
+    return op == Op::LB || op == Op::LH || op == Op::LW;
+}
+
 /** True for ops that write an integer destination register. */
-bool writesIntRd(Op op);
+constexpr bool
+writesIntRd(Op op)
+{
+    switch (opClass(op)) {
+      case OpClass::IntAlu:
+      case OpClass::MulDiv:
+      case OpClass::Load:
+      case OpClass::Jal:
+      case OpClass::Jalr:
+        return true;
+      case OpClass::System:
+        return op == Op::CSRRW || op == Op::CSRRS || op == Op::CSRRC;
+      case OpClass::FpMove:
+        return op == Op::FMV_X_D;
+      default:
+        return false;
+    }
+}
+
 /** True for ops that read rs1 as an integer source. */
-bool readsIntRs1(Op op);
+constexpr bool
+readsIntRs1(Op op)
+{
+    switch (op) {
+      case Op::LUI: case Op::AUIPC: case Op::JAL:
+      case Op::ECALL: case Op::EBREAK: case Op::MRET: case Op::SRET:
+      case Op::FENCE: case Op::FENCE_I: case Op::SWAPNEXT:
+      case Op::ILLEGAL:
+      case Op::FADD_D: case Op::FSUB_D: case Op::FMUL_D:
+      case Op::FDIV_D: case Op::FMV_X_D:
+        return false;
+      default:
+        return true;
+    }
+}
+
 /** True for ops that read rs2 as an integer source. */
-bool readsIntRs2(Op op);
+constexpr bool
+readsIntRs2(Op op)
+{
+    switch (opClass(op)) {
+      case OpClass::Branch:
+      case OpClass::Store:
+      case OpClass::MulDiv:
+        return true;
+      case OpClass::IntAlu:
+        // Register-register ALU forms only.
+        switch (op) {
+          case Op::ADD: case Op::SUB: case Op::SLL: case Op::SLT:
+          case Op::SLTU: case Op::XOR: case Op::SRL: case Op::SRA:
+          case Op::OR: case Op::AND: case Op::ADDW: case Op::SUBW:
+          case Op::SLLW: case Op::SRLW: case Op::SRAW:
+            return true;
+          default:
+            return false;
+        }
+      default:
+        return false;
+    }
+}
+
 /** True for ops whose rd/rs are FP registers (per-operand view). */
-bool fpRd(Op op);
-bool fpRs1(Op op);
-bool fpRs2(Op op);
+constexpr bool
+fpRd(Op op)
+{
+    switch (op) {
+      case Op::FLD: case Op::FADD_D: case Op::FSUB_D:
+      case Op::FMUL_D: case Op::FDIV_D: case Op::FMV_D_X:
+        return true;
+      default:
+        return false;
+    }
+}
+
+constexpr bool
+fpRs1(Op op)
+{
+    switch (op) {
+      case Op::FADD_D: case Op::FSUB_D: case Op::FMUL_D:
+      case Op::FDIV_D: case Op::FMV_X_D:
+        return true;
+      default:
+        return false;
+    }
+}
+
+constexpr bool
+fpRs2(Op op)
+{
+    switch (op) {
+      case Op::FADD_D: case Op::FSUB_D: case Op::FMUL_D:
+      case Op::FDIV_D: case Op::FSD:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** Call/return idioms per the RISC-V ABI (drives the RAS). */
 inline bool

@@ -106,6 +106,8 @@ Core::Core(const CoreConfig &config)
       l2tlb(config.l2tlb_entries, "l2tlb")
 {
     dv_assert(cfg.prf_entries > 64);
+    // One stage-mask bit per RoB slot.
+    dv_assert(cfg.rob_entries <= 64);
     reset();
 }
 
@@ -115,10 +117,14 @@ Core::reset()
     priv = isa::Priv::U;
     contention = ContentionCounters{};
 
-    fetchq.clear();
+    fetchq.assign(cfg.fetch_buffer, FetchSlot{});
+    fetchq_head = 0;
+    fetchq_count = 0;
     rob.assign(cfg.rob_entries, RobEntry{});
     rob_head = 0;
     rob_count = 0;
+    rob_waiting_ = 0;
+    rob_executing_ = 0;
     rename_taint.fill(0);
     prf.assign(cfg.prf_entries, TV{});
     prf_busy.assign(cfg.prf_entries, 0);
@@ -179,12 +185,6 @@ Core::reset()
     rename_taint_regs_ = 0;
 }
 
-unsigned
-Core::robSlot(unsigned offset) const
-{
-    return (rob_head + offset) % cfg.rob_entries;
-}
-
 RobEntry *
 Core::robHeadEntry()
 {
@@ -206,9 +206,10 @@ Core::startSequence(uint64_t entry)
         if (e.valid)
             rollbackEntry(e);
     }
+    // The rollbacks above cleared every stage-mask bit.
     rob_head = 0;
     rob_count = 0;
-    fetchq.clear();
+    fetchq_count = 0;
     fetchq_taint_slots_ = 0;
     for (auto &e : lq)
         e.valid = false;
@@ -239,6 +240,32 @@ Core::rollbackEntry(RobEntry &entry)
     if (entry.sq >= 0)
         sq[entry.sq].valid = false;
     entry.valid = false;
+    rob_waiting_ &= ~slotBit(entry);
+    rob_executing_ &= ~slotBit(entry);
+}
+
+void
+Core::setStage(RobEntry &entry, uint8_t stage)
+{
+    uint64_t bit = slotBit(entry);
+    rob_waiting_ &= ~bit;
+    rob_executing_ &= ~bit;
+    if (stage == 0)
+        rob_waiting_ |= bit;
+    else if (stage == 1)
+        rob_executing_ |= bit;
+    entry.stage = stage;
+}
+
+uint64_t
+Core::byAge(uint64_t mask) const
+{
+    // Rotate right by rob_head within a rob_entries-bit ring (any
+    // size up to 64, not only powers of two).
+    if (rob_head == 0)
+        return mask;
+    return ((mask >> rob_head) | (mask << (cfg.rob_entries - rob_head))) &
+           maskLow(cfg.rob_entries);
 }
 
 void
@@ -265,8 +292,8 @@ Core::applyRollbackTaint(TV squash_taint, ift::TaintCtx &ctx)
         e.addr.t = ~0ULL;
         e.data.t = ~0ULL;
     }
-    for (auto &slot : fetchq)
-        slot.pc_taint = 1;
+    for (unsigned n = 0; n < fetchq_count; ++n)
+        fetchq[fetchSlot(n)].pc_taint = 1;
     pc.t = ~0ULL;
 
     // Bulk adoption: the rollback just rewrote whole containers, so
@@ -287,7 +314,7 @@ Core::applyRollbackTaint(TV squash_taint, ift::TaintCtx &ctx)
               64 * static_cast<uint64_t>(lq.size()));
     adoptBulk(sq_acct_, static_cast<uint32_t>(sq.size()),
               128 * static_cast<uint64_t>(sq.size()));
-    fetchq_taint_slots_ = static_cast<uint32_t>(fetchq.size());
+    fetchq_taint_slots_ = fetchq_count;
 }
 
 void
@@ -325,7 +352,7 @@ Core::squashYounger(uint64_t from_seq, bool inclusive, TV redirect,
     }
     if (flushed_taint != 0)
         squash_taint.t |= 1;
-    fetchq.clear();
+    fetchq_count = 0;
     fetchq_taint_slots_ = 0;
     decode_blocked_ = false;
 
@@ -450,8 +477,11 @@ Core::phaseCommit(Memory &mem, ift::TaintCtx &ctx, TraceLog *trace)
         }
         ++commit_this_cycle_;
 
+        // A committing entry is done (stage 2): neither stage mask
+        // holds its slot.
         head.valid = false;
-        rob_head = (rob_head + 1) % cfg.rob_entries;
+        if (++rob_head == cfg.rob_entries)
+            rob_head = 0;
         --rob_count;
 
         if (priv_return) {
@@ -565,16 +595,20 @@ Core::finishLoad(RobEntry &entry, Memory &mem, ift::TaintCtx &ctx)
     }
     if (entry.lq >= 0)
         lq[entry.lq].done = true;
-    entry.stage = 2;
+    setStage(entry, 2);
 }
 
 void
 Core::phaseExecute(Memory &mem, ift::TaintCtx &ctx, TraceLog *trace)
 {
-    for (unsigned n = 0; n < rob_count; ++n) {
+    // Oldest first over the executing entries only.
+    uint64_t pending = byAge(rob_executing_);
+    while (pending != 0) {
+        unsigned n = static_cast<unsigned>(ctz64(pending));
+        pending &= pending - 1;
         RobEntry &entry = rob[robSlot(n)];
-        if (!entry.valid || entry.stage != 1)
-            continue;
+        // A squash must have taken its entries out of `pending`.
+        dv_assert(entry.valid && entry.stage == 1);
 
         if (entry.load_phase != LoadPhase::None) {
             switch (entry.load_phase) {
@@ -654,9 +688,12 @@ Core::phaseExecute(Memory &mem, ift::TaintCtx &ctx, TraceLog *trace)
             prf_acct_.apply(before, prfContrib(prf[entry.prf_idx]));
             prf_busy[entry.prf_idx] = 0;
         }
-        entry.stage = 2;
-        if (entry.is_ctrl)
+        setStage(entry, 2);
+        if (entry.is_ctrl) {
             resolveControl(entry, ctx, trace);
+            // A mispredict squashed every younger entry.
+            pending &= byAge(rob_executing_);
+        }
         if (!entry.valid)
             break; // resolveControl squashed from this entry onward
     }
@@ -745,7 +782,7 @@ Core::issueLoad(RobEntry &entry, Memory &mem, ift::TaintCtx &ctx)
 
     entry.load_phase = LoadPhase::Tlb;
     entry.remaining = tlb_cycles;
-    entry.stage = 1;
+    setStage(entry, 1);
     ++mem_used_;
     return true;
 }
@@ -753,12 +790,15 @@ Core::issueLoad(RobEntry &entry, Memory &mem, ift::TaintCtx &ctx)
 void
 Core::phaseIssue(Memory &mem, ift::TaintCtx &ctx, TraceLog *trace)
 {
+    // Oldest first over the waiting entries only; each one visited
+    // counts against the issue_scan window.
     unsigned scanned = 0;
-    for (unsigned n = 0; n < rob_count && scanned < cfg.issue_scan;
-         ++n) {
+    uint64_t pending = byAge(rob_waiting_);
+    while (pending != 0 && scanned < cfg.issue_scan) {
+        unsigned n = static_cast<unsigned>(ctz64(pending));
+        pending &= pending - 1;
         RobEntry &entry = rob[robSlot(n)];
-        if (!entry.valid || entry.stage != 0)
-            continue;
+        dv_assert(entry.valid && entry.stage == 0);
         ++scanned;
 
         // Operand readiness.
@@ -828,7 +868,7 @@ Core::phaseIssue(Memory &mem, ift::TaintCtx &ctx, TraceLog *trace)
             if (entry.exc != ExcCause::None)
                 entry.badaddr = addr;
             entry.remaining = 1;
-            entry.stage = 1;
+            setStage(entry, 1);
             ++mem_used_;
 
             // Disambiguation violation: a younger load already ran.
@@ -891,7 +931,7 @@ Core::phaseIssue(Memory &mem, ift::TaintCtx &ctx, TraceLog *trace)
             // not a counted field.
             entry.result = ift::clean(0);
             entry.remaining = 1;
-            entry.stage = 1;
+            setStage(entry, 1);
             continue;
           }
           case OpClass::Jal: {
@@ -903,7 +943,7 @@ Core::phaseIssue(Memory &mem, ift::TaintCtx &ctx, TraceLog *trace)
                 entry.pc + static_cast<uint64_t>(instr.imm));
             entry.result = ift::clean(entry.pc + 4);
             entry.remaining = 1;
-            entry.stage = 1;
+            setStage(entry, 1);
             continue;
           }
           case OpClass::Jalr: {
@@ -916,7 +956,7 @@ Core::phaseIssue(Memory &mem, ift::TaintCtx &ctx, TraceLog *trace)
             entry.actual_target = execJalrTarget(instr, rs1);
             entry.result = ift::clean(entry.pc + 4);
             entry.remaining = 1;
-            entry.stage = 1;
+            setStage(entry, 1);
             continue;
           }
           case OpClass::MulDiv: {
@@ -947,7 +987,7 @@ Core::phaseIssue(Memory &mem, ift::TaintCtx &ctx, TraceLog *trace)
                             cfg.fpalu_latency, cfg.fdiv_latency);
             if (is_div)
                 div_busy_until = cycle_ + entry.remaining;
-            entry.stage = 1;
+            setStage(entry, 1);
             continue;
           }
           case OpClass::FpDiv: {
@@ -972,7 +1012,7 @@ Core::phaseIssue(Memory &mem, ift::TaintCtx &ctx, TraceLog *trace)
             entry.remaining = cfg.fdiv_latency;
             fdiv_busy_until = cycle_ + cfg.fdiv_latency;
             fdiv_latch = rs1;
-            entry.stage = 1;
+            setStage(entry, 1);
             continue;
           }
           default: {
@@ -1016,7 +1056,7 @@ Core::phaseIssue(Memory &mem, ift::TaintCtx &ctx, TraceLog *trace)
             entry.remaining =
                 execLatency(instr, cfg.mul_latency, cfg.div_latency,
                             cfg.fpalu_latency, cfg.fdiv_latency);
-            entry.stage = 1;
+            setStage(entry, 1);
             continue;
           }
         }
@@ -1030,9 +1070,10 @@ Core::phaseDispatch(ift::TaintCtx &ctx, TraceLog *trace)
 {
     (void)trace;
     for (unsigned n = 0; n < cfg.dispatch_width; ++n) {
-        if (fetchq.empty() || robFull() || decode_blocked_)
+        if (fetchq_count == 0 || robFull() || decode_blocked_)
             break;
-        FetchSlot slot = fetchq.front();
+        // Read in place: fetch refills the slot only after dispatch.
+        const FetchSlot &slot = fetchq[fetchq_head];
         const Instr &instr = slot.instr;
 
         bool is_load = isa::isLoad(instr.op);
@@ -1068,7 +1109,9 @@ Core::phaseDispatch(ift::TaintCtx &ctx, TraceLog *trace)
         if (has_rd && prf_free.empty())
             break;
 
-        fetchq.erase(fetchq.begin());
+        if (++fetchq_head == cfg.fetch_buffer)
+            fetchq_head = 0;
+        --fetchq_count;
         fetchq_taint_slots_ -= slot.pc_taint ? 1u : 0u;
 
         unsigned tail = robSlot(rob_count);
@@ -1080,6 +1123,7 @@ Core::phaseDispatch(ift::TaintCtx &ctx, TraceLog *trace)
         ift::TaintContrib rob_before = robContrib(entry);
         entry = RobEntry{};
         entry.valid = true;
+        setStage(entry, 0);
         entry.seq = nextSeq();
         entry.pc = slot.pc;
         entry.instr = instr;
@@ -1104,7 +1148,7 @@ Core::phaseDispatch(ift::TaintCtx &ctx, TraceLog *trace)
         if (slot.fetch_exc != ExcCause::None) {
             entry.exc = slot.fetch_exc;
             entry.badaddr = ift::clean(slot.pc);
-            entry.stage = 2;
+            setStage(entry, 2);
             ++enq_this_cycle_;
             continue;
         }
@@ -1165,7 +1209,7 @@ Core::phaseDispatch(ift::TaintCtx &ctx, TraceLog *trace)
         // Instantly-complete ops (no execution semantics).
         if (instr.op == Op::SWAPNEXT || instr.op == Op::FENCE ||
             instr.op == Op::FENCE_I) {
-            entry.stage = 2;
+            setStage(entry, 2);
         }
 
         // BOOM stalls decode on illegal instructions: nothing younger
@@ -1179,8 +1223,9 @@ Core::phaseDispatch(ift::TaintCtx &ctx, TraceLog *trace)
 
 // --- fetch --------------------------------------------------------------------
 
+/** Fetch-time branch and RAS prediction for one fetched slot. */
 void
-Core::predecode(FetchSlot &slot, ift::TaintCtx &ctx)
+Core::predictAtFetch(FetchSlot &slot, ift::TaintCtx &ctx)
 {
     const Instr &instr = slot.instr;
     slot.pred_taken = false;
@@ -1248,7 +1293,7 @@ Core::phaseFetch(Memory &mem, ift::TaintCtx &ctx)
 {
     unsigned budget = cfg.fetch_width;
     while (budget > 0) {
-        if (fetchq.size() >= cfg.fetch_buffer)
+        if (fetchq_count >= cfg.fetch_buffer)
             return;
 
         // ICache access.
@@ -1267,22 +1312,21 @@ Core::phaseFetch(Memory &mem, ift::TaintCtx &ctx)
         }
 
         ExcCause exc = mem.check(pc.v, 4, AccessKind::Fetch, priv);
-        FetchSlot slot;
+        FetchSlot &slot = fetchq[fetchSlot(fetchq_count)];
+        slot = FetchSlot{};
         slot.valid = true;
         slot.pc = pc.v;
         slot.pc_taint = pc.t != 0 ? 1 : 0;
+        ++fetchq_count;
+        fetchq_taint_slots_ += slot.pc_taint ? 1u : 0u;
         if (exc != ExcCause::None) {
             slot.fetch_exc = exc;
             slot.instr = isa::decode(isa::kNopWord);
-            fetchq.push_back(slot);
-            fetchq_taint_slots_ += slot.pc_taint ? 1u : 0u;
             return; // fetch stalls behind a faulting fetch
         }
 
         slot.instr = isa::decode(mem.fetchWord(pc.v));
-        predecode(slot, ctx);
-        fetchq.push_back(slot);
-        fetchq_taint_slots_ += slot.pc_taint ? 1u : 0u;
+        predictAtFetch(slot, ctx);
 
         if (slot.pred_taken) {
             TV target = slot.pred_target;
@@ -1332,7 +1376,8 @@ Core::tick(Memory &mem, ift::TaintCtx &ctx, TraceLog *trace)
         // counted among the transient (flushed) instructions.
         if (rob_count > 0 && rob[rob_head].exc != isa::ExcCause::None) {
             rollbackEntry(rob[rob_head]);
-            rob_head = (rob_head + 1) % cfg.rob_entries;
+            if (++rob_head == cfg.rob_entries)
+                rob_head = 0;
             --rob_count;
         }
         flushAll(ift::clean(swapmem::kTrapVector), trap_taint_,
@@ -1440,8 +1485,8 @@ Core::moduleTaintStatsRescan(
     {
         uint32_t regs = pc.t != 0 ? 1 : 0;
         uint64_t bits = popcount64(pc.t);
-        for (const auto &slot : fetchq) {
-            if (slot.pc_taint) {
+        for (unsigned n = 0; n < fetchq_count; ++n) {
+            if (fetchq[fetchSlot(n)].pc_taint) {
                 regs += 1;
                 bits += 32;
             }
@@ -1541,6 +1586,33 @@ Core::verifyTaintAccounts() const
         }
     }
     return true;
+}
+
+bool
+Core::verifyStageMasks() const
+{
+    // The live window is exactly what the issue and execute scans of
+    // the whole RoB used to visit, in this order.
+    uint64_t waiting = 0;
+    uint64_t executing = 0;
+    uint64_t waiting_by_age = 0;
+    uint64_t executing_by_age = 0;
+    for (unsigned n = 0; n < rob_count; ++n) {
+        unsigned slot = robSlot(n);
+        const RobEntry &entry = rob[slot];
+        if (!entry.valid)
+            continue;
+        if (entry.stage == 0) {
+            waiting |= 1ULL << slot;
+            waiting_by_age |= 1ULL << n;
+        } else if (entry.stage == 1) {
+            executing |= 1ULL << slot;
+            executing_by_age |= 1ULL << n;
+        }
+    }
+    return waiting == rob_waiting_ && executing == rob_executing_ &&
+           byAge(rob_waiting_) == waiting_by_age &&
+           byAge(rob_executing_) == executing_by_age;
 }
 
 uint64_t

@@ -206,6 +206,15 @@ class Core
      */
     bool verifyTaintAccounts() const;
 
+    /**
+     * Rebuild the waiting (stage 0) and executing (stage 1) sets from
+     * the live RoB window and compare them with the stage masks that
+     * issue and execute iterate, both by slot and in the oldest-first
+     * order they are visited in; true when all match. Always
+     * compiled, like verifyTaintAccounts().
+     */
+    bool verifyStageMasks() const;
+
     /** Lifetime taint-contribution transitions across all accounts. */
     uint64_t taintTransitions() const;
 
@@ -260,7 +269,11 @@ class Core
 
     // Pipeline structures (public: internal microarchitecture the
     // tests and the paper's analyses reach into, gem5-style).
+    /** Fetch buffer: a ring of cfg.fetch_buffer slots, oldest at
+     *  fetchq_head, fetchq_count of them live. */
     std::vector<FetchSlot> fetchq;
+    unsigned fetchq_head = 0;
+    unsigned fetchq_count = 0;
     std::vector<RobEntry> rob;
     unsigned rob_head = 0;
     unsigned rob_count = 0;
@@ -321,7 +334,20 @@ class Core
     void phaseFetch(swapmem::Memory &mem, ift::TaintCtx &ctx);
 
     // --- helpers ----------------------------------------------------------
-    unsigned robSlot(unsigned offset) const;
+    /** RoB slot @p offset places behind the head (offset <= entries). */
+    unsigned
+    robSlot(unsigned offset) const
+    {
+        unsigned slot = rob_head + offset;
+        return slot >= cfg.rob_entries ? slot - cfg.rob_entries : slot;
+    }
+    /** Fetch-buffer slot @p offset places behind the oldest. */
+    unsigned
+    fetchSlot(unsigned offset) const
+    {
+        unsigned slot = fetchq_head + offset;
+        return slot >= cfg.fetch_buffer ? slot - cfg.fetch_buffer : slot;
+    }
     RobEntry *robHeadEntry();
     bool robFull() const { return rob_count >= cfg.rob_entries; }
     uint64_t nextSeq() { return seq_counter_++; }
@@ -335,6 +361,16 @@ class Core
                   isa::ExcCause exc, uint64_t squash_pc,
                   ift::TaintCtx &ctx, TraceLog *trace);
     void rollbackEntry(RobEntry &entry);
+    /** Stage-mask bit of the RoB slot holding @p entry. */
+    uint64_t
+    slotBit(const RobEntry &entry) const
+    {
+        return 1ULL << (&entry - rob.data());
+    }
+    /** Move @p entry to @p stage, keeping the stage masks exact. */
+    void setStage(RobEntry &entry, uint8_t stage);
+    /** @p mask re-indexed by age: bit n is the slot robSlot(n). */
+    uint64_t byAge(uint64_t mask) const;
     void applyRollbackTaint(TV squash_taint, ift::TaintCtx &ctx);
 
     void resolveControl(RobEntry &entry, ift::TaintCtx &ctx,
@@ -344,10 +380,17 @@ class Core
                     ift::TaintCtx &ctx);
     bool issueLoad(RobEntry &entry, swapmem::Memory &mem,
                    ift::TaintCtx &ctx);
-    void predecode(FetchSlot &slot, ift::TaintCtx &ctx);
+    void predictAtFetch(FetchSlot &slot, ift::TaintCtx &ctx);
 
     uint64_t cycle_ = 0;
     uint64_t seq_counter_ = 1;
+
+    // One bit per RoB slot: the live entries waiting to issue (stage
+    // 0) and executing (stage 1). Issue and execute visit only these
+    // instead of scanning the whole window. Plain values, so the
+    // lockstep checkpoint copy carries them.
+    uint64_t rob_waiting_ = 0;
+    uint64_t rob_executing_ = 0;
 
     // Incremental taint accounts for the container state the old
     // per-cycle scan walked (prf/rob/lq/sq plus the fetchq pc-taint

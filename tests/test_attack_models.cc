@@ -295,13 +295,14 @@ TEST(AttackModels, PrivTransitionBugReplays)
 // --- hand-written scenario PoCs --------------------------------------------
 
 harness::DualResult
-runPoc(const bench::Poc &poc)
+runPoc(const bench::Poc &poc, bool state_hash = false)
 {
     harness::DualSim sim(uarch::smallBoomConfig());
     harness::SimOptions options;
     options.mode = ift::IftMode::DiffIFT;
     options.taint_log = true;
     options.sinks = true;
+    options.state_hash = state_hash;
     return sim.runDual(poc.schedule, poc.data, options);
 }
 
@@ -382,8 +383,9 @@ TEST(ScenarioPocs, MeltdownSupervisorPageFaultForwards)
 TEST(ScenarioPocs, ScenarioSuiteDeterministicAcrossReruns)
 {
     for (const auto &poc : bench::scenarioPocSuite()) {
-        auto a = runPoc(poc);
-        auto b = runPoc(poc);
+        auto a = runPoc(poc, true);
+        auto b = runPoc(poc, true);
+        EXPECT_NE(a.dut0.state_hash, 0u) << poc.name;
         EXPECT_EQ(a.dut0.timing_hash, b.dut0.timing_hash) << poc.name;
         EXPECT_EQ(a.dut0.state_hash, b.dut0.state_hash) << poc.name;
         EXPECT_EQ(a.dut0.cycles, b.dut0.cycles) << poc.name;

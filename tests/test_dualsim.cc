@@ -43,8 +43,14 @@ using harness::DualSim;
 using harness::DutResult;
 using harness::SimOptions;
 
+/**
+ * Field-by-field equality of two runs made with the same options.
+ * @p hashed says whether those options requested the state hashes:
+ * then a run that simulated cycles must carry real ones, otherwise
+ * both must stay 0.
+ */
 void
-expectDutEqual(const DutResult &a, const DutResult &b,
+expectDutEqual(const DutResult &a, const DutResult &b, bool hashed,
                const char *what)
 {
     SCOPED_TRACE(what);
@@ -53,6 +59,10 @@ expectDutEqual(const DutResult &a, const DutResult &b,
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.timing_hash, b.timing_hash);
     EXPECT_EQ(a.state_hash, b.state_hash);
+    if (a.cycles > 0) {
+        EXPECT_EQ(a.timing_hash != 0, hashed);
+        EXPECT_EQ(a.state_hash != 0, hashed);
+    }
     EXPECT_EQ(a.packet_start, b.packet_start);
 
     EXPECT_EQ(a.contention.fetch_refill_wait,
@@ -128,10 +138,10 @@ expectDutEqual(const DutResult &a, const DutResult &b,
 }
 
 void
-expectDualEqual(const DualResult &a, const DualResult &b)
+expectDualEqual(const DualResult &a, const DualResult &b, bool hashed)
 {
-    expectDutEqual(a.dut0, b.dut0, "dut0");
-    expectDutEqual(a.dut1, b.dut1, "dut1");
+    expectDutEqual(a.dut0, b.dut0, hashed, "dut0");
+    expectDutEqual(a.dut1, b.dut1, hashed, "dut1");
 }
 
 SimOptions
@@ -141,6 +151,7 @@ fullOptions(ift::IftMode mode)
     options.mode = mode;
     options.taint_log = true;
     options.sinks = true;
+    options.state_hash = true;
     return options;
 }
 
@@ -250,9 +261,11 @@ class FourPassOracle
         }
         out.cycles = core.cycle();
         out.contention = core.contention;
-        out.timing_hash = core.timingStateHash();
-        out.state_hash =
-            fnv1a(out.timing_hash, core.cachedDataHash(mem));
+        if (options.state_hash) {
+            out.timing_hash = core.timingStateHash();
+            out.state_hash =
+                fnv1a(out.timing_hash, core.cachedDataHash(mem));
+        }
         if (options.sinks)
             core.enumSinks(out.sinks);
     }
@@ -309,7 +322,7 @@ TEST(DualSimEquivalence, LockstepMatchesFourPassOnPocSuite)
         SCOPED_TRACE(poc.name);
         auto a = lockstep_sim.runDual(poc.schedule, poc.data, options);
         auto b = oracle.run(poc.schedule, poc.data, options);
-        expectDualEqual(a, b);
+        expectDualEqual(a, b, true);
     }
 }
 
@@ -329,7 +342,7 @@ TEST(DualSimEquivalence, LockstepMatchesFourPassOnTriggeredWindows)
                                           cases[i].data, options);
             auto b =
                 oracle.run(cases[i].schedule, cases[i].data, options);
-            expectDualEqual(a, b);
+            expectDualEqual(a, b, true);
         }
     }
 }
@@ -345,7 +358,7 @@ TEST(DualSimEquivalence, SinglePassModesMatchOracle)
         SCOPED_TRACE(static_cast<int>(mode));
         auto a = sim.runDual(poc.schedule, poc.data, fullOptions(mode));
         auto b = oracle.run(poc.schedule, poc.data, fullOptions(mode));
-        expectDualEqual(a, b);
+        expectDualEqual(a, b, true);
     }
 }
 
@@ -379,13 +392,18 @@ TEST(DualSimEquivalence, FusedPhase3MatchesStandaloneSanitizedRun)
                 // Taking (or resuming from) the snapshot must leave
                 // the Phase-2 run itself unchanged.
                 expectDualEqual(
-                    phase2, freshDual(cfg, tc.schedule, tc.data,
-                                      fullOptions(ift::IftMode::DiffIFT)));
+                    phase2,
+                    freshDual(cfg, tc.schedule, tc.data,
+                              fullOptions(ift::IftMode::DiffIFT)),
+                    true);
 
                 SimOptions p3;
                 p3.mode = ift::IftMode::DiffIFT;
                 p3.sinks = true;
                 p3.taint_log = taint_log;
+                // The hashes cover the whole end state the resumed
+                // run left behind; they are not part of the resume key.
+                p3.state_hash = true;
                 const uint64_t before = resumedCycles();
                 const uint64_t sims = fused_sim.simulations();
                 DualResult fused;
@@ -396,7 +414,8 @@ TEST(DualSimEquivalence, FusedPhase3MatchesStandaloneSanitizedRun)
                 EXPECT_EQ(fused_sim.simulations() - sims, 2u);
 
                 expectDualEqual(fused,
-                                freshDual(cfg, sanitized, tc.data, p3));
+                                freshDual(cfg, sanitized, tc.data, p3),
+                                true);
             }
         }
         EXPECT_GT(checked, 0u);
@@ -424,13 +443,17 @@ TEST(DualSimEquivalence, FusionOnOffIsIdentityThroughPhase3)
     core::Phase2 phase2(fused_sim, base, coverage, ids);
     core::Phase3 phase3_fused(fused_sim, base, gen);
 
+    // Phase 2's own options: taint log and sinks, no state hashes.
+    SimOptions p2 = fullOptions(ift::IftMode::DiffIFT);
+    p2.state_hash = false;
     size_t resumed = 0;
     for (size_t i = 0; i < cases.size(); ++i) {
         SCOPED_TRACE(i);
         const core::Phase2Result &explored = phase2.run(cases[i]);
         expectDualEqual(explored.dual,
                         freshDual(cfg, cases[i].schedule, cases[i].data,
-                                  fullOptions(ift::IftMode::DiffIFT)));
+                                  p2),
+                        false);
 
         const uint64_t before = resumedCycles();
         const uint64_t fused_sims = fused_sim.simulations();
@@ -490,7 +513,8 @@ TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
             if (expect_resume.has_value()) {
                 EXPECT_EQ(resumedCycles() > before, *expect_resume);
             }
-            expectDualEqual(got, freshDual(cfg, schedule, data, options));
+            expectDualEqual(got, freshDual(cfg, schedule, data, options),
+                            options.state_hash);
         };
 
         for (bool p2_log : {true, false}) {
@@ -512,12 +536,14 @@ TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
                                        : ift::IftMode::CellIFT;
                 run("single-pass dual", a.schedule, a.data,
                     fullOptions(mode), std::nullopt);
+                SimOptions hashed;
+                hashed.state_hash = true;
                 DutResult single =
-                    sim.runSingle(a.schedule, a.data, SimOptions{});
+                    sim.runSingle(a.schedule, a.data, hashed);
                 DualSim fresh(cfg);
                 expectDutEqual(single,
-                               fresh.runSingle(a.schedule, a.data),
-                               "runSingle");
+                               fresh.runSingle(a.schedule, a.data, hashed),
+                               true, "runSingle");
                 run("mutated phase 2", a.schedule, a.data, p2, true);
             }
             run("phase 3", gen.sanitizedSchedule(a), a.data, p3, true);
@@ -599,10 +625,12 @@ TEST(DualSimResume, ExitStateCaptureSurvivesUnrelatedRun)
         DualResult got;
         sim.runDual(tc.schedule, tc.data, options, got);
         expectDualEqual(got,
-                        freshDual(cfg, tc.schedule, tc.data, options));
+                        freshDual(cfg, tc.schedule, tc.data, options),
+                        true);
         const SimOptions unrelated = fullOptions(ift::IftMode::DiffIFT);
         sim.runDual(bare, other.data, unrelated, got);
-        expectDualEqual(got, freshDual(cfg, bare, other.data, unrelated));
+        expectDualEqual(got, freshDual(cfg, bare, other.data, unrelated),
+                        true);
 
         TestCase mutated = tc;
         gen.mutateWindow(mutated, 0x5eed);
@@ -611,8 +639,10 @@ TEST(DualSimResume, ExitStateCaptureSurvivesUnrelatedRun)
         const uint64_t before = resumedCycles();
         sim.runDual(mutated.schedule, mutated.data, options, got);
         EXPECT_GT(resumedCycles(), before);
-        expectDualEqual(got, freshDual(cfg, mutated.schedule,
-                                       mutated.data, options));
+        expectDualEqual(got,
+                        freshDual(cfg, mutated.schedule, mutated.data,
+                                  options),
+                        true);
     }
 }
 
@@ -635,7 +665,7 @@ TEST(DualSimReuse, PooledRunsMatchFreshInstance)
         DualSim fresh(cfg);
         auto baseline =
             fresh.runDual(probe.schedule, probe.data, options);
-        expectDualEqual(reused, baseline);
+        expectDualEqual(reused, baseline, true);
     }
 }
 
@@ -645,6 +675,7 @@ TEST(DualSimReuse, PooledRunSingleMatchesFresh)
     auto poc = bench::spectreV4();
     auto other = bench::spectreV1();
     SimOptions options;
+    options.state_hash = true;
 
     DualSim pooled(cfg);
     (void)pooled.runSingle(other.schedule, other.data, options);
@@ -654,7 +685,7 @@ TEST(DualSimReuse, PooledRunSingleMatchesFresh)
 
     DualSim fresh(cfg);
     auto baseline = fresh.runSingle(poc.schedule, poc.data, options);
-    expectDutEqual(reused, baseline, "runSingle");
+    expectDutEqual(reused, baseline, true, "runSingle");
 }
 
 TEST(DualSimReuse, OutParamBuffersAreReusedAcrossRuns)
@@ -670,7 +701,7 @@ TEST(DualSimReuse, OutParamBuffersAreReusedAcrossRuns)
     DualResult second;
     sim.runDual(poc.schedule, poc.data, options, second);
     sim.runDual(poc.schedule, poc.data, options, pooled_result);
-    expectDualEqual(pooled_result, second);
+    expectDualEqual(pooled_result, second, true);
 }
 
 TEST(DualSimReuse, ShorterRunAfterLongerRunSeesNoStaleTraces)
@@ -689,7 +720,7 @@ TEST(DualSimReuse, ShorterRunAfterLongerRunSeesNoStaleTraces)
     DualSim fresh(cfg);
     auto baseline =
         fresh.runDual(short_poc.schedule, short_poc.data, options);
-    expectDualEqual(reused, baseline);
+    expectDualEqual(reused, baseline, true);
 }
 
 } // namespace

@@ -389,6 +389,9 @@ TEST(SpecDoctorBaseline, FindsRollbacksAndCandidates)
     specdoctor.run(120);
     const auto &stats = specdoctor.stats();
     EXPECT_GT(stats.rollbacks, 0u);
+    // Candidates come only from differing state hashes: a detection
+    // run that left them unset would find none.
+    EXPECT_GT(stats.candidates, 0u);
     // Window-type limitation: no access-fault / misalign / illegal /
     // return windows (generator + discard constraints).
     EXPECT_EQ(stats.window_count[static_cast<unsigned>(

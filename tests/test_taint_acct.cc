@@ -13,6 +13,10 @@
  * Core::appendTaintLog, so this suite calls the always-compiled
  * Core::verifyTaintAccounts() explicitly after each tick.
  *
+ * The same per-cycle drive checks the RoB stage masks that issue and
+ * execute iterate against a rebuild from the entries
+ * (Core::verifyStageMasks()).
+ *
  * Stimuli: the PoC suite plus Phase-1-triggered windows on both
  * core configs, under closed-gate diffIFT and full CellIFT (the
  * open-gate mode propagates the most taint and stresses the
@@ -116,6 +120,8 @@ runAndVerify(const uarch::CoreConfig &cfg,
             FAIL() << "account/rescan mismatch at cycle "
                    << core.cycle();
         }
+        ASSERT_TRUE(core.verifyStageMasks())
+            << "stage-mask mismatch at cycle " << core.cycle();
         // Transition counts only ever grow.
         uint64_t transitions = core.taintTransitions();
         ASSERT_GE(transitions, prev_transitions);
@@ -128,6 +134,8 @@ runAndVerify(const uarch::CoreConfig &cfg,
                 break;
             core.flushICache();
             core.startSequence(next_entry);
+            ASSERT_TRUE(core.verifyStageMasks())
+                << "stage masks not cleared by startSequence";
             packet_cycles = 0;
         }
     }
@@ -135,8 +143,14 @@ runAndVerify(const uarch::CoreConfig &cfg,
 
 TEST(TaintAcctProperty, PocSuiteMatchesRescanEveryCycle)
 {
+    // A 64-entry RoB fills every stage-mask bit: the widest ring the
+    // core accepts.
+    uarch::CoreConfig wide_rob = uarch::smallBoomConfig();
+    wide_rob.name = "SmallBOOM-rob64";
+    wide_rob.rob_entries = 64;
+    wide_rob.prf_entries = 160;
     for (const auto &cfg : {uarch::smallBoomConfig(),
-                            uarch::xiangshanMinimalConfig()}) {
+                            uarch::xiangshanMinimalConfig(), wide_rob}) {
         SCOPED_TRACE(cfg.name);
         for (const auto &poc : bench::pocSuite()) {
             SCOPED_TRACE(poc.name);

@@ -84,28 +84,20 @@ BENCHMARK(BM_CoreTick)
     ->Arg(static_cast<int>(ift::IftMode::CellIFT))
     ->Arg(static_cast<int>(ift::IftMode::DiffIFT));
 
-/**
- * Swap-packet reload: one full start/advance sweep over each 5-PoC
- * schedule. Arg 1 keeps an undo window open across each sweep, as a
- * lockstep hot window does, so every changed byte also logs a record.
- */
+/** Swap-packet reload: one full start/advance sweep over each 5-PoC
+ *  schedule. */
 void
 BM_SwapPacketLoad(benchmark::State &state)
 {
-    const bool undo = state.range(0) != 0;
     const auto suite = bench::pocSuite();
     swapmem::Memory mem;
     size_t loads = 0;
     for (auto _ : state) {
         for (const auto &poc : suite) {
-            if (undo)
-                mem.beginUndo();
             swapmem::SwapRuntime runtime(poc.schedule);
             benchmark::DoNotOptimize(runtime.start(mem));
             while (!runtime.done())
                 benchmark::DoNotOptimize(runtime.advance(mem));
-            if (undo)
-                mem.discardUndo();
             loads += poc.schedule.packets.size();
         }
         benchmark::ClobberMemory();
@@ -113,7 +105,7 @@ BM_SwapPacketLoad(benchmark::State &state)
     state.counters["loads_per_s"] = benchmark::Counter(
         static_cast<double>(loads), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SwapPacketLoad)->ArgName("undo")->Arg(0)->Arg(1);
+BENCHMARK(BM_SwapPacketLoad);
 
 void
 BM_DualRun(benchmark::State &state)

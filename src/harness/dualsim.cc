@@ -1,7 +1,6 @@
 #include "harness/dualsim.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
@@ -12,49 +11,23 @@ namespace dejavuzz::harness {
 using swapmem::Memory;
 using swapmem::PacketKind;
 using swapmem::SwapPacket;
-using swapmem::SwapRuntime;
 using swapmem::SwapSchedule;
-using uarch::Core;
 using uarch::TickEvents;
 
 namespace {
 
 const ift::ControlTrace kEmptyTrace;
 
-/**
- * True when every diffIFT gate of a tick that recorded @p mine would
- * resolve closed against @p sibling: the positional prefix of
- * @p sibling matches @p mine exactly. Extra sibling records beyond
- * mine's length are never consulted and cannot open a gate.
- */
-bool
-gatesAllClosed(const ift::ControlTrace &mine,
-               const ift::ControlTrace &sibling)
+/** The sibling lane's options: nobody reads its taint, so it logs
+ *  none and enumerates no sinks. */
+SimOptions
+siblingOptions(const SimOptions &options)
 {
-    if (mine.size() > sibling.size())
-        return false;
-    // Word-wide prefix compare over the parallel sig/value arrays:
-    // two memcmps replace the per-record loop on the hottest
-    // comparison in the lockstep driver.
-    // An empty trace may have null data pointers, which memcmp must
-    // not see even for a zero length.
-    size_t n = mine.size();
-    return n == 0 ||
-           (std::memcmp(mine.sigsData(), sibling.sigsData(),
-                        n * sizeof(uint32_t)) == 0 &&
-            std::memcmp(mine.valuesData(), sibling.valuesData(),
-                        n * sizeof(uint64_t)) == 0);
+    SimOptions sibling = options;
+    sibling.taint_log = false;
+    sibling.sinks = false;
+    return sibling;
 }
-
-/** Checkpoint cadence of the lockstep redo protocol while execution
- *  is convergent, in cycles: a time/space trade-off only, results are
- *  bit-identical for any value >= 1. */
-constexpr uint64_t kCheckpointInterval = 32;
-
-/** Cycles after a divergence during which checkpoints are per-cycle
- *  (divergence clusters; per-cycle checkpoints make each further
- *  divergent cycle a single-tick redo instead of a replay). */
-constexpr uint64_t kDivergenceHotWindow = 8;
 
 /**
  * Index of the first transient packet that a training prefix precedes,
@@ -85,8 +58,8 @@ sameInstrs(const std::vector<isa::Instr> &a,
 } // namespace
 
 DualSim::DualSim(const uarch::CoreConfig &config)
-    : cfg_(config), lane0_(config), lane1_(config), ckpt_core_(config),
-      capture0_(config), capture1_(config)
+    : cfg_(config), lane0_(config), lane1_(config), capture0_(config),
+      capture1_(config)
 {}
 
 void
@@ -283,18 +256,10 @@ DualSim::runSingle(const SwapSchedule &schedule, const StimulusData &data,
 
 /**
  * Lockstep co-simulation: both instances advance through the same
- * cycle in one loop iteration. Lane 0 runs the *record sub-tick*
- * (gates optimistically closed — the correct resolution whenever the
- * two instances' control traces for the cycle match) and lane 1 the
- * *taint sub-tick* (gating against lane 0's just-recorded trace,
- * which is exact because control traces are taint-independent). When
- * the two traces differ positionally, lane 0's closed-gate assumption
- * was wrong: roll lane 0 back to the last checkpoint (pooled Core
- * copy + memory undo log), replay the confirmed-convergent cycles
- * with closed gates, and redo the divergent cycle against lane 1's
- * trace. Divergence clusters inside transient windows, so checkpoints
- * are sparse (every kCheckpointInterval cycles) until a divergence
- * and per-cycle while one is hot.
+ * cycle in one loop iteration. The sibling (lane 1) ticks first with
+ * its gates closed and records its control trace; lane 0 then ticks
+ * once, gating against that trace. Control traces do not depend on
+ * taint, so lane 0's gates are exact and nothing is ever re-run.
  *
  * A run whose prefix matches the transient-boundary snapshot resumes
  * from it; any other run starts from reset and, when the schedule has
@@ -305,12 +270,13 @@ DualSim::runDualLockstep(const SwapSchedule &schedule,
                          const StimulusData &data,
                          const SimOptions &options, DualResult &out)
 {
+    const SimOptions sibling = siblingOptions(options);
     LaneRun l0(lane0_, out.dut0, schedule);
     LaneRun l1(lane1_, out.dut1, schedule);
     size_t transient = resumePoint(schedule);
     if (prefix_.resumable(schedule, transient, data, options)) {
         restoreLane(capture0_, l0, options, transient);
-        restoreLane(capture1_, l1, options, transient);
+        restoreLane(capture1_, l1, sibling, transient);
         // Prefix cycles this resume did not have to re-simulate.
         obs::counterAdd(obs::Ctr::FusedLaneCycles,
                         capture0_.core.cycle() + capture1_.core.cycle());
@@ -319,7 +285,7 @@ DualSim::runDualLockstep(const SwapSchedule &schedule,
     }
 
     startLane(l0, data, options, false);
-    startLane(l1, data, options, true);
+    startLane(l1, data, sibling, true);
     // The captures are overwritten below; a run cut short by the
     // wall-clock watchdog must leave no key pointing at them.
     if (transient != SIZE_MAX)
@@ -333,6 +299,7 @@ void
 DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
                       size_t capture_at)
 {
+    const SimOptions sibling = siblingOptions(options);
     bool captured = false;
     auto capture = [&]() {
         captureLane(capture0_, l0);
@@ -340,91 +307,14 @@ DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
         captured = true;
     };
 
-    LaneMarks marks;
-    SwapRuntime ckpt_runtime = l0.runtime;
-    bool ckpt_valid = false;
-    bool diverged_once = false;
-    uint64_t last_divergence = 0;
-
-    auto takeCheckpoint = [&]() {
-        ckpt_core_ = l0.lane.core;
-        ckpt_runtime = l0.runtime;
-        if (ckpt_valid)
-            l0.lane.mem.discardUndo();
-        l0.lane.mem.beginUndo();
-        marks.cycle = l0.lane.core.cycle();
-        marks.packet_cycles = l0.packet_cycles;
-        marks.completed = l0.result.completed;
-        marks.budget_exceeded = l0.result.budget_exceeded;
-        marks.done = l0.done;
-        marks.commits = l0.result.trace.commits.size();
-        marks.squashes = l0.result.trace.squashes.size();
-        marks.rob_io = l0.result.trace.rob_io.size();
-        marks.taint_cycles = l0.result.taint_log.cycles.size();
-        marks.packet_starts = l0.result.packet_start.size();
-        ckpt_valid = true;
-    };
-
-    auto rollbackToCheckpoint = [&]() {
-        l0.lane.core = ckpt_core_;
-        l0.runtime = ckpt_runtime;
-        l0.lane.mem.rollbackUndo();
-        l0.lane.mem.beginUndo();
-        l0.packet_cycles = marks.packet_cycles;
-        l0.done = marks.done;
-        l0.result.completed = marks.completed;
-        l0.result.budget_exceeded = marks.budget_exceeded;
-        l0.result.trace.commits.resize(marks.commits);
-        l0.result.trace.squashes.resize(marks.squashes);
-        l0.result.trace.rob_io.resize(marks.rob_io);
-        l0.result.trace.cycles = marks.cycle;
-        l0.result.taint_log.truncateCycles(marks.taint_cycles);
-        l0.result.packet_start.resize(marks.packet_starts);
-    };
-
     while (!l0.done && !l1.done) {
-        uint64_t cycle = l0.lane.core.cycle(); // == lane 1's cycle
-        bool hot = diverged_once &&
-                   cycle - last_divergence <= kDivergenceHotWindow;
-        if (hot)
-            obs::counterAdd(obs::Ctr::HotCycles);
-        if (!ckpt_valid || hot ||
-            cycle - marks.cycle >= kCheckpointInterval) {
-            takeCheckpoint();
-            obs::counterAdd(obs::Ctr::Checkpoints);
-        }
+        sibling_trace_.clear();
+        laneTick(l1, sibling, ift::IftMode::DiffIFT, &sibling_trace_,
+                 nullptr);
+        laneTick(l0, options, ift::IftMode::DiffIFT, nullptr,
+                 &sibling_trace_);
 
-        // Record sub-tick: lane 0 with closed gates, trace recorded.
-        trace0_.clear();
-        laneTick(l0, options, ift::IftMode::DiffIFT, &trace0_, nullptr);
-
-        // Taint sub-tick: lane 1 gates against lane 0's trace for the
-        // same cycle (and records its own for lane 0's redo).
-        trace1_.clear();
-        laneTick(l1, options, ift::IftMode::DiffIFT, &trace1_, &trace0_);
-
-        if (!gatesAllClosed(trace0_, trace1_)) {
-            obs::ScopedSpan rollback_span(obs::Hist::RollbackNs);
-            obs::counterAdd(obs::Ctr::Rollbacks);
-            obs::counterAdd(obs::Ctr::RedoCycles,
-                            cycle - marks.cycle + 1);
-            diverged_once = true;
-            last_divergence = cycle;
-            rollbackToCheckpoint();
-            // Replay the confirmed-convergent prefix: every replayed
-            // cycle compared equal, so closed gates are exact.
-            while (l0.lane.core.cycle() < cycle) {
-                laneTick(l0, options, ift::IftMode::DiffIFT, nullptr,
-                         nullptr);
-            }
-            // Redo the divergent cycle against the sibling's trace.
-            laneTick(l0, options, ift::IftMode::DiffIFT, nullptr,
-                     &trace1_);
-        }
-
-        // Boundary snapshot: both lanes' state at an iteration
-        // bottom is confirmed (any divergence this cycle was just
-        // redone), and the first time a swap cursor reaches the
+        // Boundary snapshot: the first time a swap cursor reaches the
         // transient packet it sits exactly at its start — the packet
         // was loaded at the end of this tick and none of its
         // instructions have been fetched yet.
@@ -433,8 +323,6 @@ DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
              l1.runtime.cursor() >= capture_at))
             capture();
     }
-    if (ckpt_valid)
-        l0.lane.mem.discardUndo();
 
     // The transient packet was never reached (a lane ran out of
     // budget while training): snapshot the exit state, so a resume
@@ -443,17 +331,18 @@ DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
         capture();
 
     // Solo tails: one instance outlived the other. Both lanes stop at
-    // the same cycle, so the survivor is past the sibling's last
-    // recorded cycle: an empty view, every gate open.
+    // the same cycle, so lane 0 is past the sibling's last recorded
+    // cycle: an empty view, every gate open. The sibling's own gates
+    // stay closed; only its value state is read.
     while (!l0.done)
         laneTick(l0, options, ift::IftMode::DiffIFT, nullptr, &kEmptyTrace);
     while (!l1.done)
-        laneTick(l1, options, ift::IftMode::DiffIFT, nullptr, &kEmptyTrace);
+        laneTick(l1, sibling, ift::IftMode::DiffIFT, nullptr, nullptr);
 
     if (l0.started)
         finishLane(l0, options);
     if (l1.started)
-        finishLane(l1, options);
+        finishLane(l1, sibling);
 }
 
 void
@@ -503,8 +392,8 @@ DualSim::runDual(const SwapSchedule &schedule, const StimulusData &data,
         // No cross-instance information needed: single pass each.
         runOne(schedule, data, options, false, options.mode, lane0_,
                out.dut0);
-        runOne(schedule, data, options, true, options.mode, lane1_,
-               out.dut1);
+        runOne(schedule, data, siblingOptions(options), true,
+               options.mode, lane1_, out.dut1);
         break;
       case ift::IftMode::DiffIFT:
         runDualLockstep(schedule, data, options, out);

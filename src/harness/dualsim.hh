@@ -3,23 +3,23 @@
  * The differential testbench (paper §3.3, §5).
  *
  * Two identical DUT instances execute the same swap schedule with
- * different secrets. diffIFT needs each instance's control-signal
- * values compared against the sibling's for the same cycle; because
- * taint never feeds back into architectural values, the control
- * trace an instance records is independent of how its taint gates
- * resolve, so both instances can advance in one interleaved
- * *lockstep* loop. Each cycle, instance 0 ticks first as a *record
- * sub-tick* — gates optimistically closed, control trace recorded —
- * then instance 1 runs its *taint sub-tick*, gating against instance
- * 0's just-recorded trace. If the two traces for the cycle differ
- * positionally, instance 0's closed-gate assumption was wrong and the
- * harness rolls it back to the last checkpoint (pooled Core copy +
- * memory undo log), replays the confirmed-convergent cycles, and
- * redoes the divergent cycle against instance 1's trace. DiffIFT
- * costs ~2 core simulations. Once one instance finishes, the other
- * runs on past the sibling's last cycle, where the sibling view is
- * empty, so every gate opens.
+ * different secrets. Instance 0 (the original secret) is the one whose
+ * taint is analysed; instance 1 (the flipped secret) is its *sibling*.
+ * diffIFT gates instance 0's control taint on whether each control
+ * signal differs from the sibling's in the same cycle. Taint never
+ * feeds back into architectural values, so the control trace an
+ * instance records is a function of its value state alone, whatever
+ * its gates resolve to. Both instances therefore advance in one
+ * interleaved *lockstep* loop: each cycle the sibling ticks first,
+ * gates closed, recording its control trace; then instance 0 ticks
+ * once, gating against that same-cycle trace, which makes its gates
+ * exact on the first try. When the sibling finishes first, instance 0
+ * runs on past the sibling's last cycle, where its sibling view is
+ * empty, so every gate opens. DiffIFT costs two core simulations.
  *
+ * In every mode DualResult::dut1 is the sibling run: its value-domain
+ * fields (completion, cycles, contention, trace log, packet starts and
+ * the optional hashes) are exact; its taint log and sinks stay empty.
  * CellIFT / FN / Off modes need no sibling information and run in a
  * single pass per instance. All per-run state (cores, memories,
  * trace buffers, result buffers) is pooled inside DualSim, so the
@@ -29,8 +29,8 @@
  * transient packet only after every training packet has run, so a
  * differential run's state at that load depends on the rest of the
  * schedule, never on the transient packet's instructions. A DiffIFT
- * runDual that starts from reset snapshots both lanes at the first
- * confirmed point where either swap cursor reaches the transient
+ * runDual that starts from reset snapshots both lanes at the bottom of
+ * the first cycle in which either swap cursor reaches the transient
  * packet (always before any transient instruction is fetched: the
  * load happens at the end of the triggering tick and fetch resumes
  * next tick), together with an exact copy of everything that prefix
@@ -115,8 +115,10 @@ struct DutResult
 /** Result of a dual (differential) run. */
 struct DualResult
 {
-    DutResult dut0; ///< original secret
-    DutResult dut1; ///< flipped secret
+    DutResult dut0; ///< original secret: the analysed instance
+    /** Flipped secret: the sibling. Value-domain fields only; its
+     *  taint_log and sinks are always empty. */
+    DutResult dut1;
 };
 
 class DualSim
@@ -181,21 +183,6 @@ class DualSim
         uint64_t taint_transitions_base = 0;
         bool started = false; ///< false: schedule was empty at start
         bool done = false;
-    };
-
-    /** Rollback marks for the lockstep checkpoint protocol. */
-    struct LaneMarks
-    {
-        uint64_t cycle = 0;
-        uint64_t packet_cycles = 0;
-        bool completed = false;
-        bool budget_exceeded = false;
-        bool done = false;
-        size_t commits = 0;
-        size_t squashes = 0;
-        size_t rob_io = 0;
-        size_t taint_cycles = 0;
-        size_t packet_starts = 0;
     };
 
     /**
@@ -275,13 +262,9 @@ class DualSim
     uarch::CoreConfig cfg_;
     Lane lane0_;
     Lane lane1_;
-    /** Checkpoint target for the lockstep redo protocol (pooled so
-     *  the per-checkpoint copy reuses vector storage). */
-    uarch::Core ckpt_core_;
-    /** Control traces lane 0 / lane 1 recorded this lockstep cycle;
-     *  a trace is only ever read by the sibling in the same cycle. */
-    ift::ControlTrace trace0_;
-    ift::ControlTrace trace1_;
+    /** Control trace the sibling lane recorded this lockstep cycle;
+     *  lane 0 gates against it in the same cycle. */
+    ift::ControlTrace sibling_trace_;
     /** Transient-boundary snapshots (lane 0 / lane 1) and the
      *  prefix they were taken on. */
     LaneCapture capture0_;

@@ -47,42 +47,21 @@ struct SigRec
     uint64_t value;
 };
 
-/**
- * Per-cycle, per-instance control-signal trace.
- *
- * Stored as parallel sig/value vectors rather than a SigRec vector:
- * SigRec pads to 16 bytes, so an element-wise struct compare could
- * not be a memcmp, while two packed arrays let the lockstep harness
- * compare a whole cycle's trace with two memcmps (the per-cycle
- * divergence check is the hottest comparison in diffIFT).
- */
+/** Per-cycle, per-instance control-signal trace, in program order. */
 class ControlTrace
 {
   public:
-    void
-    clear()
-    {
-        sigs_.clear();
-        values_.clear();
-    }
+    void clear() { recs_.clear(); }
     void
     record(uint32_t sig, uint64_t value)
     {
-        sigs_.push_back(sig);
-        values_.push_back(value);
+        recs_.push_back(SigRec{sig, value});
     }
-    size_t size() const { return sigs_.size(); }
-    SigRec
-    at(size_t index) const
-    {
-        return SigRec{sigs_[index], values_[index]};
-    }
-    const uint32_t *sigsData() const { return sigs_.data(); }
-    const uint64_t *valuesData() const { return values_.data(); }
+    size_t size() const { return recs_.size(); }
+    SigRec at(size_t index) const { return recs_[index]; }
 
   private:
-    std::vector<uint32_t> sigs_;
-    std::vector<uint64_t> values_;
+    std::vector<SigRec> recs_;
 };
 
 /**
@@ -126,11 +105,10 @@ class TaintCtx
           case IftMode::CellIFT:
             return true;
           case IftMode::DiffIFT: {
-            // No sibling trace: gates stay closed. This is load-
-            // bearing — the lockstep record sub-tick KEEPS its taint
-            // results whenever the cycle's traces turn out equal
-            // (equal traces <=> every gate closed), so "closed" is
-            // the exact resolution, not a placeholder.
+            // No sibling trace: gates stay closed. The lockstep
+            // sibling lane ticks this way; only its control trace and
+            // value state are read, and neither depends on how its
+            // gates resolve.
             if (other_ == nullptr)
                 return false;
             if (cursor_ >= other_->size()) {

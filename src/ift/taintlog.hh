@@ -7,8 +7,7 @@
  * Storage layout: per-cycle records index into one shared sample
  * arena instead of owning a vector each. Appending a cycle in the
  * steady state is then two vector pushes with no per-cycle
- * allocation, and rolling back to a checkpoint is two resizes
- * (truncateCycles). The per-cycle taint sums are precomputed at
+ * allocation. The per-cycle taint sums are precomputed at
  * append time, so the Phase-2 taint-increase walk never touches the
  * arena at all.
  */
@@ -87,21 +86,6 @@ struct TaintLog
     samplesEnd(const TaintLogCycle &rec) const
     {
         return samples.data() + rec.begin + rec.count;
-    }
-
-    /**
-     * Drop every record after the first @p keep cycles (lockstep
-     * rollback to a checkpointed log length). The arena truncates to
-     * the kept prefix because cycles append samples contiguously.
-     */
-    void
-    truncateCycles(size_t keep)
-    {
-        if (keep >= cycles.size())
-            return;
-        const TaintLogCycle &first_dropped = cycles[keep];
-        samples.resize(first_dropped.begin);
-        cycles.resize(keep);
     }
 
     /** Total tainted bits at the final logged cycle. */

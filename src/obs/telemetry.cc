@@ -22,7 +22,6 @@ ctrName(Ctr c)
       case Ctr::Rollbacks: return "rollbacks";
       case Ctr::RedoCycles: return "redo_cycles";
       case Ctr::Checkpoints: return "checkpoints";
-      case Ctr::HotCycles: return "hot_cycles";
       case Ctr::StealAttempts: return "steal_attempts";
       case Ctr::StealHits: return "steal_hits";
       case Ctr::TaintTransitions: return "taint_transitions";

@@ -39,10 +39,12 @@ enum class Ctr : uint8_t {
     Iterations,    ///< fuzzing iterations completed
     Batches,       ///< scheduler batches executed
     Simulations,   ///< logical simulations (runSingle 1, runDual 2)
-    Rollbacks,     ///< lockstep divergence rollbacks
-    RedoCycles,    ///< cycles re-executed after rollbacks
-    Checkpoints,   ///< lockstep checkpoints taken
-    HotCycles,     ///< cycles spent inside the divergence-hot window
+    /** Always 0: the lockstep loop never rolls back (the sibling
+     *  lane ticks first). Kept only because the campaign
+     *  benchmark's ledger reads it. */
+    Rollbacks,
+    RedoCycles,    ///< always 0, kept for the ledger (see Rollbacks)
+    Checkpoints,   ///< always 0, kept for the ledger (see Rollbacks)
     StealAttempts, ///< scheduler steal() calls that scanned victims
     StealHits,     ///< steal() calls that found a batch
     TaintTransitions,  ///< taint-account contribution changes applied
@@ -76,7 +78,7 @@ enum class Hist : uint8_t {
     Phase1Ns,      ///< Phase-1 (trigger + reduction) wall time
     Phase2Ns,      ///< Phase-2 (diffIFT) wall time
     Phase3Ns,      ///< Phase-3 (exploitability) wall time
-    RollbackNs,    ///< lockstep rollback + replay + redo wall time
+    RollbackNs,    ///< always empty, kept for the ledger (see Ctr::Rollbacks)
     ModuleTaintNs, ///< moduleTaintStats/appendTaintLog (sampled 1/64)
     ReplayNs,      ///< dejavuzz-replay per-bug wall time
     DequeDepth,    ///< deque depth observed at push()

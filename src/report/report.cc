@@ -167,7 +167,7 @@ heartbeatTimingTable(const std::vector<CampaignLog> &logs)
 {
     // Timing breakdown from the final heartbeat of each log: where
     // the campaign's cycles went (phase spans, the moduleTaintStats
-    // share of Phase 2, rollback cost) and how occupied the worker
+    // share of Phase 2) and how occupied the worker
     // fleet was. Logs without heartbeat records contribute no rows
     // (an all-empty table is skipped by the renderers).
     ReportTable table;
@@ -175,7 +175,7 @@ heartbeatTimingTable(const std::vector<CampaignLog> &logs)
     table.header = {"campaign", "wall_s", "occupancy_pct",
                     "phase1_s", "phase2_s", "phase3_s",
                     "module_taint_s", "module_taint_pct_phase2",
-                    "rollbacks", "rollback_s", "steal_hit_pct"};
+                    "steal_hit_pct"};
     auto pct = [](double num, double den) -> std::string {
         if (den <= 0.0)
             return "n/a";
@@ -204,8 +204,6 @@ heartbeatTimingTable(const std::vector<CampaignLog> &logs)
              fmtF64(seconds(obs::Hist::Phase1Ns)), fmtF64(phase2_s),
              fmtF64(seconds(obs::Hist::Phase3Ns)), fmtF64(taint_s),
              pct(taint_s, phase2_s),
-             fmtU64(hb.counter(obs::Ctr::Rollbacks)),
-             fmtF64(seconds(obs::Hist::RollbackNs)),
              pct(static_cast<double>(
                      hb.counter(obs::Ctr::StealHits)),
                  static_cast<double>(

@@ -29,8 +29,6 @@ Memory::reset()
     }
     dirty_pages_ = 0;
     flags_ = Flags{};
-    undo_active_ = false;
-    undo_.clear();
 }
 
 void
@@ -54,8 +52,6 @@ Memory::copyFrom(const Memory &other)
     }
     dirty_pages_ = other.dirty_pages_;
     flags_ = other.flags_;
-    undo_active_ = false;
-    undo_.clear();
 }
 
 uint8_t
@@ -70,14 +66,10 @@ Memory::setByte(uint64_t addr, uint8_t value, bool tainted)
     if (addr >= kMemBytes)
         return;
     const uint8_t taint = tainted ? 1 : 0;
-    // A store that changes nothing is dropped: no undo record, no
-    // dirty bit. Exact, because a clean page holds only zero bytes.
+    // A store that changes nothing is dropped: no dirty bit. Exact,
+    // because a clean page holds only zero bytes.
     if (data_[addr] == value && taint_[addr] == taint)
         return;
-    if (undo_active_) {
-        undo_.push_back(UndoRec{static_cast<uint32_t>(addr),
-                                data_[addr], taint_[addr]});
-    }
     dirty_pages_ |= 1ULL << (addr / kPageBytes);
     data_[addr] = value;
     taint_[addr] = taint;
@@ -222,14 +214,6 @@ Memory::write(uint64_t addr, unsigned bytes, TV tv)
     const uint64_t changed = (value ^ old_value) | (taint ^ old_taint);
     if (changed == 0)
         return;
-    if (undo_active_) {
-        for (unsigned i = 0; i < bytes; ++i) {
-            if (((changed >> (8 * i)) & 0xff) == 0)
-                continue;
-            undo_.push_back(UndoRec{static_cast<uint32_t>(addr + i),
-                                    data_[addr + i], taint_[addr + i]});
-        }
-    }
     dirty_pages_ |= 1ULL << (addr / kPageBytes);
     dirty_pages_ |= 1ULL << ((addr + bytes - 1) / kPageBytes);
     storeLE(&data_[addr], value, bytes);
@@ -413,36 +397,6 @@ uint64_t
 Memory::operandAddr(unsigned slot) const
 {
     return kOperandAddr + 8ULL * slot;
-}
-
-void
-Memory::beginUndo()
-{
-    dv_assert(!undo_active_);
-    undo_active_ = true;
-    undo_.clear();
-    undo_flags_ = flags_;
-}
-
-void
-Memory::rollbackUndo()
-{
-    dv_assert(undo_active_);
-    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-        data_[it->addr] = it->value;
-        taint_[it->addr] = it->taint;
-    }
-    flags_ = undo_flags_;
-    undo_.clear();
-    undo_active_ = false;
-}
-
-void
-Memory::discardUndo()
-{
-    dv_assert(undo_active_);
-    undo_.clear();
-    undo_active_ = false;
 }
 
 } // namespace dejavuzz::swapmem

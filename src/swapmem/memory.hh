@@ -1,12 +1,12 @@
 /**
  * @file
  * Byte-addressable backing memory with per-byte taint, page
- * permissions, PMP-style secret protection, and an undo log.
+ * permissions and PMP-style secret protection.
  *
  * Each DUT instance owns one Memory (the dedicated region differs
- * between instances; everything else is identical). The undo log lets
- * the differential harness re-run one instance's cycle after learning
- * the sibling's control trace without copying the whole image.
+ * between instances; everything else is identical). Writes mark the
+ * pages they dirty, so resetting or copying an image costs in
+ * proportion to what a run wrote, not to the image size.
  */
 
 #ifndef DEJAVUZZ_SWAPMEM_MEMORY_HH
@@ -50,17 +50,15 @@ class Memory
      * Make this Memory bit-identical to @p other, reusing the
      * allocation. Cost is proportional to the union of the two dirty
      * footprints, not the image size: pages dirty here but clean in
-     * @p other are zeroed; pages dirty in @p other are copied. Any
-     * active undo log on this instance is dropped (the snapshot is a
-     * confirmed state, not a speculative one).
+     * @p other are zeroed; pages dirty in @p other are copied.
      */
     void copyFrom(const Memory &other);
 
     // --- raw byte access (no permission checks) ------------------------
     // Bytes outside the image read as clean zeros; stores to them are
     // dropped. A store that leaves a byte's value and taint as they
-    // were is dropped too: it logs no undo record and dirties no page,
-    // so every store path costs in proportion to the bytes it changes.
+    // were is dropped too: it dirties no page, so every store path
+    // costs in proportion to the bytes it changes.
     uint8_t byte(uint64_t addr) const;
     void setByte(uint64_t addr, uint8_t value, bool tainted);
 
@@ -101,8 +99,7 @@ class Memory
     bool victimSupervisor() const { return flags_.victim_supervisor; }
 
     /**
-     * Double-fetch swap: XOR-mutate the secret bytes in place (via the
-     * undo-covered byte store, so speculative rollback restores them).
+     * Double-fetch swap: XOR-mutate the secret bytes in place.
      * Idempotent per swap generation - the flag makes the packet
      * reload after a transient-boundary resume apply the swap exactly
      * once.
@@ -116,27 +113,9 @@ class Memory
     void setOperand(unsigned slot, uint64_t value);
     uint64_t operandAddr(unsigned slot) const;
 
-    // --- undo log --------------------------------------------------------
-    /**
-     * Open an undo window. Rollback restores every byte and taint bit
-     * changed since (unchanged stores log nothing), plus the secret
-     * protection, victim placement and secret-swap flags as they were
-     * here (packet loads flip them).
-     */
-    void beginUndo();
-    void rollbackUndo();
-    void discardUndo();
-
     bool inRange(uint64_t addr) const { return addr < kMemBytes; }
 
   private:
-    struct UndoRec
-    {
-        uint32_t addr;
-        uint8_t value;
-        uint8_t taint;
-    };
-
     std::vector<uint8_t> data_;
     std::vector<uint8_t> taint_;
     /** Protection state outside the byte image; packet loads flip it. */
@@ -148,10 +127,6 @@ class Memory
     };
 
     Flags flags_;
-    bool undo_active_ = false;
-    std::vector<UndoRec> undo_;
-    /** flags_ at beginUndo, restored by rollbackUndo. */
-    Flags undo_flags_;
     /** One bit per page with any write since the last reset. */
     uint64_t dirty_pages_ = 0;
     static_assert(kMemBytes / kPageBytes <= 64,

@@ -71,14 +71,13 @@ TEST(SupervisorVictim, SecretPageFaultsForUser)
               isa::ExcCause::LoadAccessFault);
 }
 
-TEST(SecretSwap, IdempotentAndUndoCovered)
+TEST(SecretSwap, Idempotent)
 {
     Memory mem;
     uint8_t secret[8] = {1, 2, 3, 4, 5, 6, 7, 8};
     mem.installSecret(secret, sizeof(secret));
     uint8_t v1 = mem.byte(swapmem::kSecretAddr);
 
-    mem.beginUndo();
     mem.applySecretSwap();
     EXPECT_TRUE(mem.secretSwapped());
     EXPECT_EQ(mem.byte(swapmem::kSecretAddr), v1 ^ 0x5a);
@@ -86,10 +85,6 @@ TEST(SecretSwap, IdempotentAndUndoCovered)
     // transient-boundary resume).
     mem.applySecretSwap();
     EXPECT_EQ(mem.byte(swapmem::kSecretAddr), v1 ^ 0x5a);
-    // Speculative rollback restores the pre-swap bytes and flag.
-    mem.rollbackUndo();
-    EXPECT_EQ(mem.byte(swapmem::kSecretAddr), v1);
-    EXPECT_FALSE(mem.secretSwapped());
 }
 
 TEST(SecretSwap, ResetAndCopyCarryFlags)

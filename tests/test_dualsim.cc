@@ -3,21 +3,27 @@
  * Differential-harness equivalence and pooling tests.
  *
  * DualSim's lockstep co-simulation must produce bit-identical
- * DutResults to FourPassOracle — an independent 4-pass value/diff
- * reference built here on the public Core/Memory/SwapRuntime/TaintCtx
- * calls — with the same sinks, taint logs, trace logs and
- * timing/state hashes, across the PoC suite, real triggered windows
- * and every IftMode. A run that resumes from the transient-boundary
- * snapshot (a Phase-2 mutation, the Phase-3 sanitized twin) must be
- * bit-identical to a run from reset, whatever ran before it. And
- * because DualSim pools its cores/memories/result buffers, a reused
- * instance must be bit-identical to a freshly constructed one.
+ * DutResults to TwoPassOracle — an independent reference built here
+ * on the public Core/Memory/SwapRuntime/TaintCtx calls: the sibling's
+ * value pass, then instance 0's diff pass against its recorded trace —
+ * with the same sinks, taint logs, trace logs and timing/state hashes
+ * for instance 0 and the same value state for the sibling, across the
+ * PoC suites, real triggered windows and every IftMode. Both rest on
+ * one premise, checked directly here: an instance's control trace
+ * does not depend on how its taint gates resolve. The same inputs
+ * check that diffIFT's whole-core taint stays inside CellIFT's. A run
+ * that resumes from the transient-boundary snapshot (a Phase-2
+ * mutation, the Phase-3 sanitized twin) must be bit-identical to a run
+ * from reset, whatever ran before it. And because DualSim pools its
+ * cores/memories/result buffers, a reused instance must be
+ * bit-identical to a freshly constructed one.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
+#include <string>
 
 #include "bench/poc_suite.hh"
 #include "core/phases.hh"
@@ -44,16 +50,14 @@ using harness::DutResult;
 using harness::SimOptions;
 
 /**
- * Field-by-field equality of two runs made with the same options.
- * @p hashed says whether those options requested the state hashes:
- * then a run that simulated cycles must carry real ones, otherwise
- * both must stay 0.
+ * Equality of the value-domain fields of two runs made with the same
+ * options: everything but the taint log and the sinks. @p hashed says
+ * whether those options requested the state hashes: then a run that
+ * simulated cycles must carry real ones, otherwise both must stay 0.
  */
 void
-expectDutEqual(const DutResult &a, const DutResult &b, bool hashed,
-               const char *what)
+expectValueEqual(const DutResult &a, const DutResult &b, bool hashed)
 {
-    SCOPED_TRACE(what);
     EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.budget_exceeded, b.budget_exceeded);
     EXPECT_EQ(a.cycles, b.cycles);
@@ -102,6 +106,16 @@ expectDutEqual(const DutResult &a, const DutResult &b, bool hashed,
         EXPECT_EQ(a.trace.rob_io[i].committed,
                   b.trace.rob_io[i].committed);
     }
+}
+
+/** Field-by-field equality of two runs made with the same options
+ *  (see expectValueEqual for @p hashed). */
+void
+expectDutEqual(const DutResult &a, const DutResult &b, bool hashed,
+               const char *what)
+{
+    SCOPED_TRACE(what);
+    expectValueEqual(a, b, hashed);
 
     // Taint log — the bit-exact diffIFT shadow state per cycle.
     ASSERT_EQ(a.taint_log.cycles.size(), b.taint_log.cycles.size());
@@ -137,11 +151,16 @@ expectDutEqual(const DutResult &a, const DutResult &b, bool hashed,
     }
 }
 
+/** dut0 in full; the sibling dut1 carries value state only. */
 void
 expectDualEqual(const DualResult &a, const DualResult &b, bool hashed)
 {
     expectDutEqual(a.dut0, b.dut0, hashed, "dut0");
     expectDutEqual(a.dut1, b.dut1, hashed, "dut1");
+    for (const DualResult *r : {&a, &b}) {
+        EXPECT_TRUE(r->dut1.taint_log.cycles.empty());
+        EXPECT_TRUE(r->dut1.sinks.empty());
+    }
 }
 
 SimOptions
@@ -155,123 +174,105 @@ fullOptions(ift::IftMode mode)
     return options;
 }
 
+using Traces = std::vector<ift::ControlTrace>;
+
 /**
- * Reference differential evaluation, independent of DualSim: the
- * seed's 4-pass diffIFT pipeline. A value pass per instance records
- * every cycle's control trace (no sibling trace, so DiffIFT gates stay
- * closed and the pass's results are discarded); a diff pass per
- * instance then gates against the sibling's recorded trace, which is
- * empty (structural divergence => gates open) past the sibling's last
- * cycle. The single-pass modes run one pass per instance.
+ * One instance, start to finish, independent of DualSim: records each
+ * cycle's control trace into @p record and/or gates against
+ * @p sibling's trace for the same cycle when given. Past the
+ * sibling's last cycle the view is empty (structural divergence =>
+ * gates open).
  */
-class FourPassOracle
+void
+runLane(const uarch::CoreConfig &cfg,
+        const swapmem::SwapSchedule &schedule,
+        const harness::StimulusData &data, const SimOptions &options,
+        bool flipped_secret, Traces *record, const Traces *sibling,
+        DutResult &out)
 {
-  public:
-    explicit FourPassOracle(const uarch::CoreConfig &config)
-        : cfg_(config)
-    {}
+    static const ift::ControlTrace kEmpty;
+    out = DutResult{};
+    uarch::Core core(cfg);
+    swapmem::Memory mem;
+    auto secret = flipped_secret ? data.flippedSecret() : data.secret;
+    mem.installSecret(secret.data(), secret.size());
+    for (size_t i = 0; i < data.operands.size(); ++i)
+        mem.setOperand(static_cast<unsigned>(i), data.operands[i]);
 
-    DualResult
-    run(const swapmem::SwapSchedule &schedule,
-        const harness::StimulusData &data, const SimOptions &options) const
-    {
-        DualResult out;
-        if (options.mode != ift::IftMode::DiffIFT) {
-            pass(schedule, data, options, false, nullptr, nullptr,
-                 out.dut0);
-            pass(schedule, data, options, true, nullptr, nullptr,
-                 out.dut1);
-            return out;
-        }
-        SimOptions value_options = options;
-        value_options.taint_log = false;
-        value_options.sinks = false;
-        Traces traces0;
-        Traces traces1;
-        DutResult discarded;
-        pass(schedule, data, value_options, false, &traces0, nullptr,
-             discarded);
-        pass(schedule, data, value_options, true, &traces1, nullptr,
-             discarded);
-        pass(schedule, data, options, false, nullptr, &traces1, out.dut0);
-        pass(schedule, data, options, true, nullptr, &traces0, out.dut1);
-        return out;
+    swapmem::SwapRuntime runtime(schedule);
+    uint64_t entry = runtime.start(mem);
+    if (runtime.done()) {
+        out.completed = true;
+        return;
     }
-
-  private:
-    using Traces = std::vector<ift::ControlTrace>;
-
-    /** One instance, start to finish: records into @p record and/or
-     *  gates against @p sibling when given. */
-    void
-    pass(const swapmem::SwapSchedule &schedule,
-         const harness::StimulusData &data, const SimOptions &options,
-         bool flipped_secret, Traces *record, const Traces *sibling,
-         DutResult &out) const
-    {
-        static const ift::ControlTrace kEmpty;
-        out = DutResult{};
-        uarch::Core core(cfg_);
-        swapmem::Memory mem;
-        auto secret = flipped_secret ? data.flippedSecret() : data.secret;
-        mem.installSecret(secret.data(), secret.size());
-        for (size_t i = 0; i < data.operands.size(); ++i)
-            mem.setOperand(static_cast<unsigned>(i), data.operands[i]);
-
-        swapmem::SwapRuntime runtime(schedule);
-        uint64_t entry = runtime.start(mem);
-        if (runtime.done()) {
-            out.completed = true;
-            return;
+    core.startSequence(entry);
+    out.packet_start.push_back(0);
+    uint64_t packet_cycles = 0;
+    while (core.cycle() < options.total_cycle_budget) {
+        uint64_t cycle = core.cycle();
+        ift::ControlTrace *mine = nullptr;
+        if (record != nullptr) {
+            record->resize(cycle + 1);
+            mine = &record->back();
         }
-        core.startSequence(entry);
-        out.packet_start.push_back(0);
-        uint64_t packet_cycles = 0;
-        while (core.cycle() < options.total_cycle_budget) {
-            uint64_t cycle = core.cycle();
-            ift::ControlTrace *mine = nullptr;
-            if (record != nullptr) {
-                record->resize(cycle + 1);
-                mine = &record->back();
+        const ift::ControlTrace *other = nullptr;
+        if (sibling != nullptr)
+            other = cycle < sibling->size() ? &(*sibling)[cycle] : &kEmpty;
+        ift::TaintCtx ctx;
+        ctx.begin(options.mode, mine, other);
+        uarch::TickEvents ev = core.tick(mem, ctx, &out.trace);
+        if (options.taint_log)
+            core.appendTaintLog(out.taint_log);
+        bool force_advance = ++packet_cycles >= options.packet_cycle_budget;
+        if (force_advance)
+            out.budget_exceeded = true;
+        if (ev.swap_next || ev.trapped || force_advance) {
+            uint64_t next_entry = runtime.advance(mem);
+            if (runtime.done()) {
+                out.completed = true;
+                break;
             }
-            const ift::ControlTrace *other = nullptr;
-            if (sibling != nullptr)
-                other = cycle < sibling->size() ? &(*sibling)[cycle]
-                                                : &kEmpty;
-            ift::TaintCtx ctx;
-            ctx.begin(options.mode, mine, other);
-            uarch::TickEvents ev = core.tick(mem, ctx, &out.trace);
-            if (options.taint_log)
-                core.appendTaintLog(out.taint_log);
-            bool force_advance =
-                ++packet_cycles >= options.packet_cycle_budget;
-            if (force_advance)
-                out.budget_exceeded = true;
-            if (ev.swap_next || ev.trapped || force_advance) {
-                uint64_t next_entry = runtime.advance(mem);
-                if (runtime.done()) {
-                    out.completed = true;
-                    break;
-                }
-                core.flushICache();
-                core.startSequence(next_entry);
-                out.packet_start.push_back(core.cycle());
-                packet_cycles = 0;
-            }
+            core.flushICache();
+            core.startSequence(next_entry);
+            out.packet_start.push_back(core.cycle());
+            packet_cycles = 0;
         }
-        out.cycles = core.cycle();
-        out.contention = core.contention;
-        if (options.state_hash) {
-            out.timing_hash = core.timingStateHash();
-            out.state_hash =
-                fnv1a(out.timing_hash, core.cachedDataHash(mem));
-        }
-        if (options.sinks)
-            core.enumSinks(out.sinks);
     }
+    out.cycles = core.cycle();
+    out.contention = core.contention;
+    if (options.state_hash) {
+        out.timing_hash = core.timingStateHash();
+        out.state_hash = fnv1a(out.timing_hash, core.cachedDataHash(mem));
+    }
+    if (options.sinks)
+        core.enumSinks(out.sinks);
+}
 
-    uarch::CoreConfig cfg_;
-};
+/**
+ * Reference differential evaluation, independent of DualSim, in two
+ * passes: the sibling (flipped secret) runs to the end first, without
+ * taint log or sinks, recording every cycle's control trace (no
+ * sibling view of its own, so DiffIFT gates stay closed); instance 0
+ * then runs against that recorded trace. The single-pass modes record
+ * nothing.
+ */
+DualResult
+twoPassOracle(const uarch::CoreConfig &cfg,
+              const swapmem::SwapSchedule &schedule,
+              const harness::StimulusData &data, const SimOptions &options)
+{
+    DualResult out;
+    SimOptions sibling = options;
+    sibling.taint_log = false;
+    sibling.sinks = false;
+    const bool diff = options.mode == ift::IftMode::DiffIFT;
+    Traces traces1;
+    runLane(cfg, schedule, data, sibling, true, diff ? &traces1 : nullptr,
+            nullptr, out.dut1);
+    runLane(cfg, schedule, data, options, false, nullptr,
+            diff ? &traces1 : nullptr, out.dut0);
+    return out;
+}
 
 /** Prefix cycles skipped by resumes so far (process-wide counter). */
 uint64_t
@@ -312,36 +313,40 @@ triggeredCases(const uarch::CoreConfig &cfg, unsigned want)
     return cases;
 }
 
-TEST(DualSimEquivalence, LockstepMatchesFourPassOnPocSuite)
+/**
+ * The inputs the oracle, premise and containment tests share: both
+ * PoC suites and six Phase-1-triggered windows.
+ */
+std::vector<bench::Poc>
+sharedInputs(const uarch::CoreConfig &cfg)
 {
-    auto cfg = uarch::smallBoomConfig();
-    DualSim lockstep_sim(cfg);
-    FourPassOracle oracle(cfg);
-    auto options = fullOptions(ift::IftMode::DiffIFT);
-    for (const auto &poc : bench::pocSuite()) {
-        SCOPED_TRACE(poc.name);
-        auto a = lockstep_sim.runDual(poc.schedule, poc.data, options);
-        auto b = oracle.run(poc.schedule, poc.data, options);
-        expectDualEqual(a, b, true);
+    std::vector<bench::Poc> inputs = bench::pocSuite();
+    for (bench::Poc &poc : bench::scenarioPocSuite())
+        inputs.push_back(std::move(poc));
+    std::vector<TestCase> cases = triggeredCases(cfg, 6);
+    EXPECT_FALSE(cases.empty());
+    for (size_t i = 0; i < cases.size(); ++i) {
+        inputs.push_back(bench::Poc{"triggered " + std::to_string(i),
+                                    std::move(cases[i].schedule),
+                                    std::move(cases[i].data)});
     }
+    return inputs;
 }
 
-TEST(DualSimEquivalence, LockstepMatchesFourPassOnTriggeredWindows)
+const uarch::CoreConfig kConfigs[] = {uarch::smallBoomConfig(),
+                                      uarch::xiangshanMinimalConfig()};
+
+TEST(DualSimEquivalence, LockstepMatchesTwoPassOracle)
 {
-    for (const auto &cfg : {uarch::smallBoomConfig(),
-                            uarch::xiangshanMinimalConfig()}) {
+    for (const auto &cfg : kConfigs) {
         SCOPED_TRACE(cfg.name);
-        auto cases = triggeredCases(cfg, 6);
-        ASSERT_FALSE(cases.empty());
         DualSim lockstep_sim(cfg);
-        FourPassOracle oracle(cfg);
         auto options = fullOptions(ift::IftMode::DiffIFT);
-        for (size_t i = 0; i < cases.size(); ++i) {
-            SCOPED_TRACE(i);
-            auto a = lockstep_sim.runDual(cases[i].schedule,
-                                          cases[i].data, options);
-            auto b =
-                oracle.run(cases[i].schedule, cases[i].data, options);
+        for (const auto &input : sharedInputs(cfg)) {
+            SCOPED_TRACE(input.name);
+            auto a =
+                lockstep_sim.runDual(input.schedule, input.data, options);
+            auto b = twoPassOracle(cfg, input.schedule, input.data, options);
             expectDualEqual(a, b, true);
         }
     }
@@ -352,13 +357,136 @@ TEST(DualSimEquivalence, SinglePassModesMatchOracle)
     auto cfg = uarch::smallBoomConfig();
     auto poc = bench::meltdown();
     DualSim sim(cfg);
-    FourPassOracle oracle(cfg);
     for (auto mode : {ift::IftMode::Off, ift::IftMode::CellIFT,
                       ift::IftMode::DiffIFTFN}) {
         SCOPED_TRACE(static_cast<int>(mode));
         auto a = sim.runDual(poc.schedule, poc.data, fullOptions(mode));
-        auto b = oracle.run(poc.schedule, poc.data, fullOptions(mode));
+        auto b = twoPassOracle(cfg, poc.schedule, poc.data,
+                               fullOptions(mode));
         expectDualEqual(a, b, true);
+    }
+}
+
+TEST(DualSimEquivalence, ControlTraceIsTaintIndependent)
+{
+    // The premise of the lockstep order and of the oracle: the control
+    // trace an instance records each cycle, and with it the value
+    // state, is the same whatever its gates resolve to. A gate site
+    // whose recorded value read taint would make DualSim and the
+    // oracle agree with each other while both are wrong.
+    struct Setup
+    {
+        const char *name;
+        ift::IftMode mode;
+        bool empty_sibling; ///< DiffIFT against an empty view
+    };
+    const Setup setups[] = {
+        {"Off", ift::IftMode::Off, false},
+        {"CellIFT", ift::IftMode::CellIFT, false},
+        {"DiffIFTFN", ift::IftMode::DiffIFTFN, false},
+        {"DiffIFT, no sibling (gates closed)", ift::IftMode::DiffIFT,
+         false},
+        {"DiffIFT, empty sibling (gates open)", ift::IftMode::DiffIFT,
+         true},
+    };
+    const Traces kNoTraces;
+    for (const auto &cfg : kConfigs) {
+        SCOPED_TRACE(cfg.name);
+        for (const auto &input : sharedInputs(cfg)) {
+            SCOPED_TRACE(input.name);
+            for (bool flipped : {false, true}) {
+                SCOPED_TRACE(flipped);
+                Traces first_traces;
+                DutResult first;
+                for (const Setup &setup : setups) {
+                    SCOPED_TRACE(setup.name);
+                    SimOptions options;
+                    options.mode = setup.mode;
+                    options.state_hash = true;
+                    Traces traces;
+                    DutResult run;
+                    runLane(cfg, input.schedule, input.data, options,
+                            flipped, &traces,
+                            setup.empty_sibling ? &kNoTraces : nullptr,
+                            run);
+                    if (&setup == &setups[0]) {
+                        first_traces = std::move(traces);
+                        first = std::move(run);
+                        continue;
+                    }
+                    expectValueEqual(run, first, true);
+                    ASSERT_EQ(traces.size(), first_traces.size());
+                    for (size_t c = 0; c < traces.size(); ++c) {
+                        const ift::ControlTrace &x = traces[c];
+                        const ift::ControlTrace &y = first_traces[c];
+                        ASSERT_EQ(x.size(), y.size()) << "cycle " << c;
+                        for (size_t k = 0; k < x.size(); ++k) {
+                            ASSERT_TRUE(x.at(k).sig == y.at(k).sig &&
+                                        x.at(k).value == y.at(k).value)
+                                << "cycle " << c << " record " << k;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(DiffIFTContainment, WholeCoreTaintWithinCellIFT)
+{
+    // diffIFT raises a control taint only where CellIFT does and the
+    // sibling differs, so instance 0's diffIFT taint is a bitwise
+    // subset of its CellIFT taint everywhere: every sink entry, and
+    // every module's tainted-bit count in every cycle.
+    for (const auto &cfg : kConfigs) {
+        SCOPED_TRACE(cfg.name);
+        DualSim sim(cfg);
+        for (const auto &input : sharedInputs(cfg)) {
+            SCOPED_TRACE(input.name);
+            const DutResult diff =
+                sim.runDual(input.schedule, input.data,
+                            fullOptions(ift::IftMode::DiffIFT))
+                    .dut0;
+            const DutResult cell =
+                sim.runDual(input.schedule, input.data,
+                            fullOptions(ift::IftMode::CellIFT))
+                    .dut0;
+            ASSERT_EQ(diff.sinks.size(), cell.sinks.size());
+            for (size_t i = 0; i < diff.sinks.size(); ++i) {
+                const auto &d = diff.sinks[i];
+                const auto &c = cell.sinks[i];
+                ASSERT_EQ(d.id, c.id);
+                ASSERT_EQ(d.taint.size(), c.taint.size());
+                for (size_t e = 0; e < d.taint.size(); ++e) {
+                    EXPECT_EQ(d.taint[e] & ~c.taint[e], 0u)
+                        << "sink " << d.label() << " entry " << e;
+                }
+            }
+            ASSERT_EQ(diff.taint_log.cycles.size(),
+                      cell.taint_log.cycles.size());
+            for (size_t i = 0; i < diff.taint_log.cycles.size(); ++i) {
+                const auto &d = diff.taint_log.cycles[i];
+                const auto &c = cell.taint_log.cycles[i];
+                ASSERT_EQ(d.cycle, c.cycle);
+                EXPECT_LE(d.taintSum(), c.taintSum()) << "cycle " << d.cycle;
+                // Samples list the tainted modules in id order; each
+                // module diffIFT taints, CellIFT taints at least as much.
+                const auto *sc = cell.taint_log.samplesBegin(c);
+                const auto *sc_end = cell.taint_log.samplesEnd(c);
+                for (const auto *sd = diff.taint_log.samplesBegin(d);
+                     sd != diff.taint_log.samplesEnd(d); ++sd) {
+                    while (sc != sc_end && sc->module_id < sd->module_id)
+                        ++sc;
+                    ASSERT_TRUE(sc != sc_end &&
+                                sc->module_id == sd->module_id)
+                        << "cycle " << d.cycle << " module "
+                        << sd->module_id << " untainted under CellIFT";
+                    EXPECT_LE(sd->taint_bits, sc->taint_bits)
+                        << "cycle " << d.cycle << " module "
+                        << sd->module_id;
+                }
+            }
+        }
     }
 }
 

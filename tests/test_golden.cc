@@ -205,18 +205,6 @@ TEST(Golden, SecretBytesAreTainted)
     EXPECT_EQ(clean_tv.t, 0ULL);
 }
 
-TEST(Golden, MemoryUndoLogRollsBack)
-{
-    Memory mem;
-    mem.write(swapmem::kScratchAddr, 8, ift::TV{0xdeadbeefULL, 0});
-    mem.beginUndo();
-    mem.write(swapmem::kScratchAddr, 8, ift::TV{0x1234ULL, ~0ULL});
-    EXPECT_EQ(mem.read(swapmem::kScratchAddr, 8).v, 0x1234ULL);
-    mem.rollbackUndo();
-    EXPECT_EQ(mem.read(swapmem::kScratchAddr, 8).v, 0xdeadbeefULL);
-    EXPECT_EQ(mem.read(swapmem::kScratchAddr, 8).t, 0ULL);
-}
-
 TEST(Golden, RandomProgramsAgreeOnTermination)
 {
     // Property: programs of random straight-line arithmetic always

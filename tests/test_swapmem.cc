@@ -6,7 +6,7 @@
  * invariants, swap-packet/schedule accounting, the SwapRuntime's
  * packet loads + secret-permission transitions observed through the
  * backing memory (residue clearing, no allocation once warm), and the
- * Memory store/read paths under the undo log.
+ * Memory store/read paths against a byte-at-a-time reference.
  */
 
 #include <gtest/gtest.h>
@@ -519,18 +519,42 @@ TEST(SwapRuntime, WarmDualRunsDoNotAllocate)
     }
 }
 
-// --- memory undo log ----------------------------------------------------
+// --- memory stores against a reference ------------------------------------
 
-/** Everything a Memory exposes: bytes, per-byte taint, the flags. */
+/**
+ * Everything a Memory exposes: bytes, per-byte taint, the flags. Also
+ * the byte-at-a-time reference the store tests apply each mutation to.
+ */
 struct MemState
 {
     std::vector<uint8_t> bytes;
     std::vector<uint8_t> taint;
-    swapmem::SecretProt prot;
-    bool victim_supervisor;
-    bool secret_swapped;
+    swapmem::SecretProt prot = swapmem::SecretProt::Open;
+    bool victim_supervisor = false;
+    bool secret_swapped = false;
 
     bool operator==(const MemState &) const = default;
+
+    /** Reference store of one byte; dropped outside the image. */
+    void
+    store(uint64_t addr, uint8_t value, bool tainted)
+    {
+        if (addr >= swapmem::kMemBytes)
+            return;
+        bytes[addr] = value;
+        taint[addr] = tainted;
+    }
+
+    /** Reference little-endian store; a byte is tainted when any bit
+     *  of its taint byte is set. */
+    void
+    storeTV(uint64_t addr, unsigned width, ift::TV tv)
+    {
+        for (unsigned i = 0; i < width; ++i) {
+            store(addr + i, static_cast<uint8_t>(tv.v >> (8 * i)),
+                  ((tv.t >> (8 * i)) & 0xff) != 0);
+        }
+    }
 };
 
 MemState
@@ -585,14 +609,14 @@ storedView(ift::TV tv, unsigned width)
 }
 
 /**
- * One random Memory mutation: a store, a block load or zero fill
- * (sometimes spanning pages or running past the image end), a no-op
- * store of the bytes already there, or a flag flip. Each store is
- * read back. Returns the address it stored at (a random one for flag
- * flips).
+ * One random Memory mutation, applied to @p model as well: a store, a
+ * block load or zero fill (sometimes spanning pages or running past
+ * the image end), a no-op store of the bytes already there, or a flag
+ * flip. Each store is read back. Returns the address it stored at (a
+ * random one for flag flips).
  */
 uint64_t
-mutate(swapmem::Memory &mem, Rng &rng)
+mutate(swapmem::Memory &mem, MemState &model, Rng &rng)
 {
     const unsigned widths[] = {1, 2, 4, 8};
     const unsigned width = widths[rng.below(4)];
@@ -607,6 +631,7 @@ mutate(swapmem::Memory &mem, Rng &rng)
       case 0: {
         const ift::TV tv{rng.next(), rng.chance(1, 2) ? rng.next() : 0};
         mem.setByte(addr, static_cast<uint8_t>(tv.v), tv.t & 1);
+        model.store(addr, static_cast<uint8_t>(tv.v), tv.t & 1);
         if (in_image) {
             EXPECT_EQ(mem.read(addr, 1), storedView({tv.v, tv.t & 1}, 1))
                 << "setByte(" << addr << ")";
@@ -623,6 +648,7 @@ mutate(swapmem::Memory &mem, Rng &rng)
         const ift::TV tv{kind == 1 ? rng.next() : mem.read(addr, width).v,
                          taint};
         mem.write(addr, width, tv);
+        model.storeTV(addr, width, tv);
         if (in_image) {
             EXPECT_EQ(mem.read(addr, width), storedView(tv, width))
                 << "write(" << addr << ", " << width << ")";
@@ -638,6 +664,8 @@ mutate(swapmem::Memory &mem, Rng &rng)
                                  : mem.fetchWord(addr + 4 * i);
         }
         mem.loadBlock(addr, block.data(), block.size());
+        for (size_t i = 0; i < block.size(); ++i)
+            model.storeTV(addr + 4 * i, 4, ift::TV{block[i], 0});
         for (size_t i = 0; i < block.size(); ++i) {
             const uint64_t a = addr + 4 * i;
             if (a + 4 <= swapmem::kMemBytes) {
@@ -648,6 +676,8 @@ mutate(swapmem::Memory &mem, Rng &rng)
         break;
       case 5:
         mem.zeroRange(addr, 4 * words);
+        for (uint64_t a = addr; a < addr + 4 * words; ++a)
+            model.store(a, 0, false);
         for (uint64_t a = addr;
              a < addr + 4 * words && a < swapmem::kMemBytes; ++a) {
             EXPECT_EQ(mem.read(a, 1), (ift::TV{0, 0}))
@@ -664,14 +694,22 @@ mutate(swapmem::Memory &mem, Rng &rng)
             << "no-op write(" << addr << ", " << width << ")";
         break;
       case 8:
-        mem.setSecretProt(
-            static_cast<swapmem::SecretProt>(rng.below(3)));
+        model.prot = static_cast<swapmem::SecretProt>(rng.below(3));
+        mem.setSecretProt(model.prot);
         break;
       case 9:
-        mem.setVictimSupervisor(rng.chance(1, 2));
+        model.victim_supervisor = rng.chance(1, 2);
+        mem.setVictimSupervisor(model.victim_supervisor);
         break;
       default:
         mem.applySecretSwap();
+        if (!model.secret_swapped) {
+            for (uint64_t i = 0; i < swapmem::kSecretBytes; ++i) {
+                const uint64_t a = swapmem::kSecretAddr + i;
+                model.store(a, model.bytes[a] ^ 0x5a, true);
+            }
+            model.secret_swapped = true;
+        }
         break;
     }
     return addr;
@@ -701,60 +739,56 @@ expectWideReadsMatchBytes(const swapmem::Memory &mem, uint64_t addr)
 /** Mutate, then check wide reads at the stored address, unaligned
  *  just below it, and at a random (often edge) address. */
 void
-mutateAndCheckReads(swapmem::Memory &mem, Rng &rng)
+mutateAndCheckReads(swapmem::Memory &mem, MemState &model, Rng &rng)
 {
-    const uint64_t addr = mutate(mem, rng);
+    const uint64_t addr = mutate(mem, model, rng);
     expectWideReadsMatchBytes(mem, addr);
     expectWideReadsMatchBytes(mem, addr - 1 - rng.below(7));
     expectWideReadsMatchBytes(mem, randomAddr(rng));
 }
 
-TEST(MemoryUndo, RollbackRestoresBytesTaintAndFlags)
+TEST(MemoryStore, StoresMatchByteReferenceThroughResetAndCopy)
 {
-    // Property: whatever happens inside an undo window — stores,
-    // no-op stores, packet-style block loads and zero fills across
-    // pages and the image end, secret-protection, victim-placement
-    // and secret-swap flips — rollbackUndo restores the exact state
-    // at beginUndo, flags included; discardUndo keeps the window's
-    // changes. Wide reads agree with the byte view throughout, and
+    // Property: after any sequence of stores, no-op stores,
+    // packet-style block loads and zero fills across pages and the
+    // image end, and secret-protection, victim-placement and
+    // secret-swap flips, the Memory holds exactly what a
+    // byte-at-a-time reference holds, flags included. Each store reads
+    // back, wide reads agree with the byte view throughout, and
     // reset() and copyFrom() see every page a store wrote.
     Rng rng(0x0d0109);
     swapmem::Memory mem;
     swapmem::Memory copy;
     const MemState pristine = observe(mem);
-    unsigned flag_flips = 0;
+    unsigned flag_changes = 0;
     for (int trial = 0; trial < 60; ++trial) {
         // reset() and copyFrom() touch only dirty pages, so these
         // checks also catch a store that failed to mark a page.
         mem.reset();
         EXPECT_TRUE(observe(mem) == pristine) << "trial " << trial;
+        MemState model = pristine;
         uint8_t secret[swapmem::kSecretBytes];
         for (uint8_t &byte : secret)
             byte = static_cast<uint8_t>(rng.next());
         mem.installSecret(secret, sizeof(secret));
-        for (unsigned i = rng.below(8); i > 0; --i)
-            mutateAndCheckReads(mem, rng);
-        const MemState before = observe(mem);
+        for (uint64_t i = 0; i < swapmem::kSecretBytes; ++i)
+            model.store(swapmem::kSecretAddr + i, secret[i], true);
 
-        mem.beginUndo();
-        for (unsigned i = 1 + rng.below(24); i > 0; --i)
-            mutateAndCheckReads(mem, rng);
-        const MemState after = observe(mem);
+        for (unsigned i = 1 + rng.below(32); i > 0; --i)
+            mutateAndCheckReads(mem, model, rng);
+        EXPECT_TRUE(observe(mem) == model) << "trial " << trial;
+        // A copy over a differently dirtied image (the previous
+        // trial's) must clear what only that image wrote.
         copy.copyFrom(mem);
-        EXPECT_TRUE(observe(copy) == after) << "trial " << trial;
-        flag_flips += after.prot != before.prot ||
-                      after.victim_supervisor != before.victim_supervisor ||
-                      after.secret_swapped != before.secret_swapped;
-        if (rng.chance(1, 4)) {
-            mem.discardUndo();
-            EXPECT_TRUE(observe(mem) == after) << "trial " << trial;
-            continue;
-        }
-        mem.rollbackUndo();
-        EXPECT_TRUE(observe(mem) == before) << "trial " << trial;
+        EXPECT_TRUE(observe(copy) == model) << "trial " << trial;
+        flag_changes += model.prot != pristine.prot ||
+                        model.victim_supervisor !=
+                            pristine.victim_supervisor ||
+                        model.secret_swapped != pristine.secret_swapped;
     }
-    // The flags must actually have moved inside some windows.
-    EXPECT_GT(flag_flips, 10u);
+    // The flags must actually have moved in some trials, so reset()
+    // and copyFrom() are seen to carry them.
+    EXPECT_GT(flag_changes, 10u);
 }
 
 } // namespace

@@ -60,7 +60,8 @@ BM_CoreTick(benchmark::State &state)
     uarch::Core core(cfg);
     swapmem::Memory mem;
     auto poc = bench::spectreV1();
-    mem.installSecret(poc.data.secret.data(), poc.data.secret.size());
+    mem.installSecret(poc.data.secret.data(), poc.data.secret.size(),
+                      mode != ift::IftMode::Off);
     swapmem::SwapRuntime runtime(poc.schedule);
     core.startSequence(runtime.start(mem));
     ift::TaintCtx ctx;
@@ -82,7 +83,7 @@ BM_CoreTick(benchmark::State &state)
 BENCHMARK(BM_CoreTick)
     ->Arg(static_cast<int>(ift::IftMode::Off))
     ->Arg(static_cast<int>(ift::IftMode::CellIFT))
-    ->Arg(static_cast<int>(ift::IftMode::DiffIFT));
+    ->Arg(static_cast<int>(ift::IftMode::DiffIFTFN));
 
 /** Swap-packet reload: one full start/advance sweep over each 5-PoC
  *  schedule. */
@@ -118,8 +119,8 @@ BM_DualRun(benchmark::State &state)
     options.taint_log = mode != ift::IftMode::Off;
     auto poc = bench::spectreV1();
     for (auto _ : state) {
-        // Alternate the (never reached) cycle budget so each diffIFT
-        // run starts from reset instead of resuming from the previous
+        // Alternate the (never reached) cycle budget so each run
+        // starts from reset instead of resuming from the previous
         // run's transient-boundary snapshot.
         options.total_cycle_budget ^= 1;
         auto result = sim.runDual(poc.schedule, poc.data, options);

@@ -8,7 +8,8 @@
  * (the paper's 8h timeout); diffIFT stays word-level.
  *
  * Simulation rows: wall-clock time of the five classic PoCs under
- * Base (no IFT), CellIFT and diffIFT on the differential testbench.
+ * Base (one taint-free lane), CellIFT and diffIFT (a taint-tracking
+ * lane plus its value-lane sibling) on the differential testbench.
  */
 
 #include <cstdio>
@@ -70,7 +71,7 @@ runSuite(const uarch::CoreConfig &cfg, ift::IftMode mode,
     }
     bench::Stopwatch timer;
     for (unsigned r = 0; r < repeats; ++r) {
-        // Alternate the (never reached) cycle budget so each diffIFT
+        // Alternate the (never reached) cycle budget so each runDual
         // repeat starts from reset instead of resuming from the
         // previous repeat's transient-boundary snapshot.
         options.total_cycle_budget ^= 1;

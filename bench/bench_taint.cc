@@ -47,7 +47,8 @@ runWithStats(const uarch::CoreConfig &cfg, const bench::Poc &poc,
 {
     uarch::Core core(cfg);
     swapmem::Memory mem;
-    mem.installSecret(poc.data.secret.data(), poc.data.secret.size());
+    mem.installSecret(poc.data.secret.data(), poc.data.secret.size(),
+                      true);
     for (size_t i = 0; i < poc.data.operands.size(); ++i)
         mem.setOperand(static_cast<unsigned>(i), poc.data.operands[i]);
     swapmem::SwapRuntime runtime(poc.schedule);

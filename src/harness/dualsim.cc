@@ -18,12 +18,13 @@ namespace {
 
 const ift::ControlTrace kEmptyTrace;
 
-/** The sibling lane's options: nobody reads its taint, so it logs
- *  none and enumerates no sinks. */
+/** The sibling's options: nobody reads its taint, so it is a value
+ *  lane, with no taint source, no taint log and no sinks. */
 SimOptions
 siblingOptions(const SimOptions &options)
 {
     SimOptions sibling = options;
+    sibling.mode = ift::IftMode::Off;
     sibling.taint_log = false;
     sibling.sinks = false;
     return sibling;
@@ -121,10 +122,13 @@ DualSim::PrefixKey::resumable(const SwapSchedule &schedule_in,
 
 void
 DualSim::buildMemory(Memory &mem, const StimulusData &data,
-                     bool flipped_secret) const
+                     const SimOptions &options, bool flipped_secret) const
 {
+    // Taint enters only where it is read: an Off lane's secret is
+    // clean, so its shadow state never leaves zero.
     auto secret = flipped_secret ? data.flippedSecret() : data.secret;
-    mem.installSecret(secret.data(), secret.size());
+    mem.installSecret(secret.data(), secret.size(),
+                      options.mode != ift::IftMode::Off);
     for (size_t i = 0; i < data.operands.size(); ++i)
         mem.setOperand(static_cast<unsigned>(i), data.operands[i]);
 }
@@ -136,7 +140,7 @@ DualSim::startLane(LaneRun &lr, const StimulusData &data,
     lr.result.reset();
     lr.lane.core.reset();
     lr.lane.mem.reset();
-    buildMemory(lr.lane.mem, data, flipped_secret);
+    buildMemory(lr.lane.mem, data, options, flipped_secret);
     uint64_t entry = lr.runtime.start(lr.lane.mem);
     if (lr.runtime.done()) {
         // Empty schedule: report only completion (no cycle counts,
@@ -154,15 +158,14 @@ DualSim::startLane(LaneRun &lr, const StimulusData &data,
 }
 
 /**
- * One cycle of one instance: arm the taint context, tick the core,
- * record the taint log and drive the swap runtime. Shared verbatim by
- * the single-pass and lockstep drivers so the per-cycle semantics
- * cannot drift between them.
+ * One cycle of one instance, in its own options' mode: arm the taint
+ * context, tick the core, record the taint log and drive the swap
+ * runtime. Shared verbatim by runSingle and the lockstep driver so the
+ * per-cycle semantics cannot drift between them.
  */
 void
 DualSim::laneTick(LaneRun &lr, const SimOptions &options,
-                  ift::IftMode mode, ift::ControlTrace *mine,
-                  const ift::ControlTrace *other)
+                  ift::ControlTrace *mine, const ift::ControlTrace *other)
 {
     // Cooperative batch/replay watchdog probe (one counter decrement
     // when no deadline is armed). Placing it on the per-cycle path
@@ -170,7 +173,7 @@ DualSim::laneTick(LaneRun &lr, const SimOptions &options,
     util::WallGuard::check();
 
     ift::TaintCtx ctx;
-    ctx.begin(mode, mine, other);
+    ctx.begin(options.mode, mine, other);
     TickEvents ev = lr.lane.core.tick(lr.lane.mem, ctx,
                                       &lr.result.trace);
     ++lr.packet_cycles;
@@ -222,25 +225,18 @@ DualSim::finishLane(LaneRun &lr, const SimOptions &options)
 }
 
 void
-DualSim::runOne(const SwapSchedule &schedule, const StimulusData &data,
-                const SimOptions &options, bool flipped_secret,
-                ift::IftMode mode, Lane &lane, DutResult &out)
-{
-    LaneRun lr(lane, out, schedule);
-    startLane(lr, data, options, flipped_secret);
-    while (!lr.done)
-        laneTick(lr, options, mode, nullptr, nullptr);
-    if (lr.started)
-        finishLane(lr, options);
-}
-
-void
 DualSim::runSingle(const SwapSchedule &schedule,
                    const StimulusData &data, const SimOptions &options,
                    DutResult &out)
 {
-    runOne(schedule, data, options, false, ift::IftMode::Off, lane0_,
-           out);
+    SimOptions off = options;
+    off.mode = ift::IftMode::Off;
+    LaneRun lr(lane0_, out, schedule);
+    startLane(lr, data, off, false);
+    while (!lr.done)
+        laneTick(lr, off, nullptr, nullptr);
+    if (lr.started)
+        finishLane(lr, off);
     simulations_ += 1;
     obs::counterAdd(obs::Ctr::Simulations);
 }
@@ -255,20 +251,20 @@ DualSim::runSingle(const SwapSchedule &schedule, const StimulusData &data,
 }
 
 /**
- * Lockstep co-simulation: both instances advance through the same
- * cycle in one loop iteration. The sibling (lane 1) ticks first with
- * its gates closed and records its control trace; lane 0 then ticks
- * once, gating against that trace. Control traces do not depend on
- * taint, so lane 0's gates are exact and nothing is ever re-run.
+ * Lockstep co-simulation, in every mode: both instances advance
+ * through the same cycle in one loop iteration. The sibling (lane 1),
+ * a value lane, ticks first and records its control trace; lane 0
+ * then ticks once, in the run's mode, and under DiffIFT gates against
+ * that trace. Control traces do not depend on taint, so lane 0's gates
+ * are exact and nothing is ever re-run.
  *
  * A run whose prefix matches the transient-boundary snapshot resumes
  * from it; any other run starts from reset and, when the schedule has
  * a training prefix, replaces the snapshot.
  */
 void
-DualSim::runDualLockstep(const SwapSchedule &schedule,
-                         const StimulusData &data,
-                         const SimOptions &options, DualResult &out)
+DualSim::runDual(const SwapSchedule &schedule, const StimulusData &data,
+                 const SimOptions &options, DualResult &out)
 {
     const SimOptions sibling = siblingOptions(options);
     LaneRun l0(lane0_, out.dut0, schedule);
@@ -281,18 +277,19 @@ DualSim::runDualLockstep(const SwapSchedule &schedule,
         obs::counterAdd(obs::Ctr::FusedLaneCycles,
                         capture0_.core.cycle() + capture1_.core.cycle());
         lockstepLoop(l0, l1, options, SIZE_MAX);
-        return;
+    } else {
+        startLane(l0, data, options, false);
+        startLane(l1, data, sibling, true);
+        // The captures are overwritten below; a run cut short by the
+        // wall-clock watchdog must leave no key pointing at them.
+        if (transient != SIZE_MAX)
+            prefix_.valid = false;
+        lockstepLoop(l0, l1, options, transient);
+        if (transient != SIZE_MAX)
+            prefix_.assign(schedule, transient, data, options);
     }
-
-    startLane(l0, data, options, false);
-    startLane(l1, data, sibling, true);
-    // The captures are overwritten below; a run cut short by the
-    // wall-clock watchdog must leave no key pointing at them.
-    if (transient != SIZE_MAX)
-        prefix_.valid = false;
-    lockstepLoop(l0, l1, options, transient);
-    if (transient != SIZE_MAX)
-        prefix_.assign(schedule, transient, data, options);
+    simulations_ += 2;
+    obs::counterAdd(obs::Ctr::Simulations, 2);
 }
 
 void
@@ -309,10 +306,8 @@ DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
 
     while (!l0.done && !l1.done) {
         sibling_trace_.clear();
-        laneTick(l1, sibling, ift::IftMode::DiffIFT, &sibling_trace_,
-                 nullptr);
-        laneTick(l0, options, ift::IftMode::DiffIFT, nullptr,
-                 &sibling_trace_);
+        laneTick(l1, sibling, &sibling_trace_, nullptr);
+        laneTick(l0, options, nullptr, &sibling_trace_);
 
         // Boundary snapshot: the first time a swap cursor reaches the
         // transient packet it sits exactly at its start — the packet
@@ -332,12 +327,11 @@ DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
 
     // Solo tails: one instance outlived the other. Both lanes stop at
     // the same cycle, so lane 0 is past the sibling's last recorded
-    // cycle: an empty view, every gate open. The sibling's own gates
-    // stay closed; only its value state is read.
+    // cycle: an empty view, every DiffIFT gate open.
     while (!l0.done)
-        laneTick(l0, options, ift::IftMode::DiffIFT, nullptr, &kEmptyTrace);
+        laneTick(l0, options, nullptr, &kEmptyTrace);
     while (!l1.done)
-        laneTick(l1, sibling, ift::IftMode::DiffIFT, nullptr, nullptr);
+        laneTick(l1, sibling, nullptr, nullptr);
 
     if (l0.started)
         finishLane(l0, options);
@@ -379,28 +373,6 @@ DualSim::restoreLane(const LaneCapture &cap, LaneRun &lr,
     // sequence the original advance performed.
     if (cap.cursor == transient_index)
         lr.runtime.reload(lr.lane.mem);
-}
-
-void
-DualSim::runDual(const SwapSchedule &schedule, const StimulusData &data,
-                 const SimOptions &options, DualResult &out)
-{
-    switch (options.mode) {
-      case ift::IftMode::Off:
-      case ift::IftMode::CellIFT:
-      case ift::IftMode::DiffIFTFN:
-        // No cross-instance information needed: single pass each.
-        runOne(schedule, data, options, false, options.mode, lane0_,
-               out.dut0);
-        runOne(schedule, data, siblingOptions(options), true,
-               options.mode, lane1_, out.dut1);
-        break;
-      case ift::IftMode::DiffIFT:
-        runDualLockstep(schedule, data, options, out);
-        break;
-    }
-    simulations_ += 2;
-    obs::counterAdd(obs::Ctr::Simulations, 2);
 }
 
 DualResult

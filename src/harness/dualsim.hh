@@ -4,37 +4,40 @@
  *
  * Two identical DUT instances execute the same swap schedule with
  * different secrets. Instance 0 (the original secret) is the one whose
- * taint is analysed; instance 1 (the flipped secret) is its *sibling*.
- * diffIFT gates instance 0's control taint on whether each control
- * signal differs from the sibling's in the same cycle. Taint never
- * feeds back into architectural values, so the control trace an
- * instance records is a function of its value state alone, whatever
- * its gates resolve to. Both instances therefore advance in one
- * interleaved *lockstep* loop: each cycle the sibling ticks first,
- * gates closed, recording its control trace; then instance 0 ticks
- * once, gating against that same-cycle trace, which makes its gates
- * exact on the first try. When the sibling finishes first, instance 0
- * runs on past the sibling's last cycle, where its sibling view is
- * empty, so every gate opens. DiffIFT costs two core simulations.
+ * taint is analysed, in the run's IftMode; instance 1 (the flipped
+ * secret) is its *sibling*, a value lane: it runs under IftMode::Off
+ * with a clean secret, so taint enters only the lane whose taint is
+ * read (and not even that one in an Off run). diffIFT gates instance
+ * 0's control taint on whether each control signal differs from the
+ * sibling's in the same cycle. Taint never feeds back into
+ * architectural values, so the control trace an instance records is a
+ * function of its value state alone, whatever its gates resolve to and
+ * whether it carries taint at all. Both instances therefore advance in
+ * one interleaved *lockstep* loop, in every mode: each cycle the
+ * sibling ticks first, recording its control trace; then instance 0
+ * ticks once, and under DiffIFT gates against that same-cycle trace,
+ * which makes its gates exact on the first try (the other modes ignore
+ * the trace). When the sibling finishes first, instance 0 runs on past
+ * the sibling's last cycle, where its sibling view is empty, so every
+ * DiffIFT gate opens. A dual run costs two core simulations.
  *
- * In every mode DualResult::dut1 is the sibling run: its value-domain
- * fields (completion, cycles, contention, trace log, packet starts and
- * the optional hashes) are exact; its taint log and sinks stay empty.
- * CellIFT / FN / Off modes need no sibling information and run in a
- * single pass per instance. All per-run state (cores, memories,
- * trace buffers, result buffers) is pooled inside DualSim, so the
- * steady-state iteration loop performs no allocation.
+ * DualResult::dut1 is the sibling run: its value-domain fields
+ * (completion, cycles, contention, trace log, packet starts and the
+ * optional hashes) are exact; its taint log and sinks stay empty. All
+ * per-run state (cores, memories, trace buffers, result buffers) is
+ * pooled inside DualSim, so the steady-state iteration loop performs
+ * no allocation.
  *
  * **Transient-boundary resume.** The swap runtime loads the
  * transient packet only after every training packet has run, so a
  * differential run's state at that load depends on the rest of the
- * schedule, never on the transient packet's instructions. A DiffIFT
- * runDual that starts from reset snapshots both lanes at the bottom of
+ * schedule, never on the transient packet's instructions. A runDual
+ * that starts from reset snapshots both lanes at the bottom of
  * the first cycle in which either swap cursor reaches the transient
  * packet (always before any transient instruction is fetched: the
  * load happens at the end of the triggering tick and fetch resumes
  * next tick), together with an exact copy of everything that prefix
- * depends on. The next DiffIFT runDual whose prefix compares equal —
+ * depends on. The next runDual whose prefix compares equal —
  * a Phase-2 mutation of the same seed, or its Phase-3 sanitized twin
  * — restores the snapshot, reloads the swap region with its own
  * transient packet and runs only the suffix. The result is
@@ -116,8 +119,9 @@ struct DutResult
 struct DualResult
 {
     DutResult dut0; ///< original secret: the analysed instance
-    /** Flipped secret: the sibling. Value-domain fields only; its
-     *  taint_log and sinks are always empty. */
+    /** Flipped secret: the sibling, a value lane (IftMode::Off, clean
+     *  secret). Value-domain fields only; its taint_log and sinks are
+     *  always empty. */
     DutResult dut1;
 };
 
@@ -127,9 +131,10 @@ class DualSim
     explicit DualSim(const uarch::CoreConfig &config);
 
     /**
-     * Single-instance run with IFT off: the cheap mode Phase 1 uses
-     * for window-trigger evaluation and training reduction. Writes
-     * into @p out, reusing its buffers.
+     * Single-instance run of the original secret as a value lane
+     * (IftMode::Off whatever @p options says, clean secret): the
+     * cheap mode Phase 1 uses for window-trigger evaluation and
+     * training reduction. Writes into @p out, reusing its buffers.
      */
     void runSingle(const swapmem::SwapSchedule &schedule,
                    const StimulusData &data, const SimOptions &options,
@@ -231,18 +236,8 @@ class DualSim
     void startLane(LaneRun &lr, const StimulusData &data,
                    const SimOptions &options, bool flipped_secret);
     void laneTick(LaneRun &lr, const SimOptions &options,
-                  ift::IftMode mode, ift::ControlTrace *mine,
-                  const ift::ControlTrace *other);
+                  ift::ControlTrace *mine, const ift::ControlTrace *other);
     void finishLane(LaneRun &lr, const SimOptions &options);
-
-    void runOne(const swapmem::SwapSchedule &schedule,
-                const StimulusData &data, const SimOptions &options,
-                bool flipped_secret, ift::IftMode mode, Lane &lane,
-                DutResult &out);
-
-    void runDualLockstep(const swapmem::SwapSchedule &schedule,
-                         const StimulusData &data,
-                         const SimOptions &options, DualResult &out);
 
     /**
      * The lockstep main loop, solo tails and lane finish, shared by
@@ -257,7 +252,7 @@ class DualSim
                      const SimOptions &options, size_t transient_index);
 
     void buildMemory(swapmem::Memory &mem, const StimulusData &data,
-                     bool flipped_secret) const;
+                     const SimOptions &options, bool flipped_secret) const;
 
     uarch::CoreConfig cfg_;
     Lane lane0_;

@@ -27,12 +27,16 @@
 #include <vector>
 
 #include "ift/taint.hh"
+#include "util/logging.hh"
 
 namespace dejavuzz::ift {
 
 /** Which instrumentation is active on a DUT pair. */
 enum class IftMode : uint8_t {
-    Off,       ///< no shadow state at all (the "Base" rows of Table 4)
+    /** No control taint, and DualSim gives an Off lane an untainted
+     *  secret, so its shadow state stays clean: a value lane (the
+     *  differential sibling, and the "Base" rows of Table 4). */
+    Off,
     CellIFT,   ///< Policy 2 control taints: select tainted => propagate
     DiffIFT,   ///< Table 1: select tainted AND cross-instance diff
     DiffIFTFN, ///< diff forced low (paper's false-negative worst case)
@@ -74,11 +78,13 @@ class TaintCtx
   public:
     TaintCtx() = default;
 
-    /** Arm the context for one tick. @p other may be null (no
-     *  sibling trace: DiffIFT gates stay closed). */
+    /** Arm the context for one tick. @p other, the sibling's trace
+     *  for the same cycle, is required under DiffIFT and ignored
+     *  otherwise; @p mine may be null (nothing recorded). */
     void
     begin(IftMode mode, ControlTrace *mine, const ControlTrace *other)
     {
+        dv_assert(mode != IftMode::DiffIFT || other != nullptr);
         mode_ = mode;
         mine_ = mine;
         other_ = other;
@@ -105,12 +111,6 @@ class TaintCtx
           case IftMode::CellIFT:
             return true;
           case IftMode::DiffIFT: {
-            // No sibling trace: gates stay closed. The lockstep
-            // sibling lane ticks this way; only its control trace and
-            // value state are read, and neither depends on how its
-            // gates resolve.
-            if (other_ == nullptr)
-                return false;
             if (cursor_ >= other_->size()) {
                 ++cursor_;
                 return true; // structural divergence

@@ -370,19 +370,21 @@ Memory::applySecretSwap()
         return;
     for (uint64_t i = 0; i < kSecretBytes; ++i) {
         uint64_t addr = kSecretAddr + i;
-        setByte(addr, static_cast<uint8_t>(data_[addr] ^ 0x5a), true);
+        setByte(addr, static_cast<uint8_t>(data_[addr] ^ 0x5a),
+                flags_.secret_tainted);
     }
     flags_.secret_swapped = true;
 }
 
 void
-Memory::installSecret(const uint8_t *data, size_t bytes)
+Memory::installSecret(const uint8_t *data, size_t bytes, bool tainted)
 {
     dv_assert(bytes <= kSecretBytes);
     for (size_t i = 0; i < kSecretBytes; ++i) {
         uint8_t value = i < bytes ? data[i] : 0;
-        setByte(kSecretAddr + i, value, true);
+        setByte(kSecretAddr + i, value, tainted);
     }
+    flags_.secret_tainted = tainted;
 }
 
 void

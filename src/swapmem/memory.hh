@@ -99,16 +99,17 @@ class Memory
     bool victimSupervisor() const { return flags_.victim_supervisor; }
 
     /**
-     * Double-fetch swap: XOR-mutate the secret bytes in place.
-     * Idempotent per swap generation - the flag makes the packet
-     * reload after a transient-boundary resume apply the swap exactly
-     * once.
+     * Double-fetch swap: XOR-mutate the secret bytes in place, tainted
+     * as installSecret tainted them. Idempotent per swap generation -
+     * the flag makes the packet reload after a transient-boundary
+     * resume apply the swap exactly once.
      */
     void applySecretSwap();
     bool secretSwapped() const { return flags_.secret_swapped; }
 
-    /** Install the secret block (tainted bytes). */
-    void installSecret(const uint8_t *data, size_t bytes);
+    /** Install the secret block, its bytes tainted when @p tainted
+     *  (a lane that tracks no taint gets a clean secret). */
+    void installSecret(const uint8_t *data, size_t bytes, bool tainted);
     /** Write a mutable operand slot (untainted). */
     void setOperand(unsigned slot, uint64_t value);
     uint64_t operandAddr(unsigned slot) const;
@@ -118,12 +119,14 @@ class Memory
   private:
     std::vector<uint8_t> data_;
     std::vector<uint8_t> taint_;
-    /** Protection state outside the byte image; packet loads flip it. */
+    /** State outside the byte image: packet loads flip the
+     *  protection and the swap; installSecret sets the secret's taint. */
     struct Flags
     {
         SecretProt secret_prot = SecretProt::Open;
         bool victim_supervisor = false;
         bool secret_swapped = false;
+        bool secret_tainted = false;
     };
 
     Flags flags_;

@@ -1680,16 +1680,6 @@ Core::registerModules(ift::TaintCoverage &coverage,
     return ids;
 }
 
-void
-Core::sampleCoverage(ift::TaintCoverage &coverage,
-                     const std::array<uint16_t, kModCount> &ids) const
-{
-    std::array<ModuleStat, kModCount> stats;
-    moduleTaintStats(stats);
-    for (unsigned m = 0; m < kModCount; ++m)
-        coverage.sample(ids[m], stats[m].tainted_regs);
-}
-
 uint64_t
 Core::timingStateHash() const
 {

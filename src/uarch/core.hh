@@ -13,8 +13,8 @@
  *
  * Every stateful structure carries taint shadows updated through the
  * CellIFT/diffIFT policy kernels, and the core is a value type: the
- * differential harness checkpoints it by copy-assignment for the
- * lockstep diffIFT redo protocol. No member may point into the core
+ * differential harness snapshots and restores it by copy-assignment
+ * at the transient boundary. No member may point into the core
  * itself.
  */
 
@@ -221,10 +221,6 @@ class Core
     /** Append one taint-log cycle record. */
     void appendTaintLog(ift::TaintLog &log) const;
 
-    /** Feed the per-cycle coverage sample. */
-    void sampleCoverage(ift::TaintCoverage &coverage,
-                        const std::array<uint16_t, kModCount> &ids) const;
-
     /** Register this core's modules with a coverage matrix. */
     static std::array<uint16_t, kModCount>
     registerModules(ift::TaintCoverage &coverage,
@@ -256,7 +252,7 @@ class Core
     Inventory inventory() const;
 
     /** Configuration (stable after construction; non-const so the
-     *  lockstep harness can checkpoint a Core by copy-assignment). */
+     *  harness can snapshot a Core by copy-assignment). */
     CoreConfig cfg;
     ContentionCounters contention;
 
@@ -388,15 +384,15 @@ class Core
     // One bit per RoB slot: the live entries waiting to issue (stage
     // 0) and executing (stage 1). Issue and execute visit only these
     // instead of scanning the whole window. Plain values, so the
-    // lockstep checkpoint copy carries them.
+    // transient-boundary snapshot copy carries them.
     uint64_t rob_waiting_ = 0;
     uint64_t rob_executing_ = 0;
 
     // Incremental taint accounts for the container state the old
     // per-cycle scan walked (prf/rob/lq/sq plus the fetchq pc-taint
-    // and rename-map taint populations). Plain values: the lockstep
-    // checkpoint copy-assignment snapshots them for free, and a
-    // rollback restores them together with the state they describe.
+    // and rename-map taint populations). Plain values: the
+    // transient-boundary snapshot copies them for free, and a resume
+    // restores them together with the state they describe.
     ift::TaintAcct prf_acct_;
     ift::TaintAcct rob_acct_;
     ift::TaintAcct lq_acct_;

@@ -75,7 +75,7 @@ TEST(SecretSwap, Idempotent)
 {
     Memory mem;
     uint8_t secret[8] = {1, 2, 3, 4, 5, 6, 7, 8};
-    mem.installSecret(secret, sizeof(secret));
+    mem.installSecret(secret, sizeof(secret), true);
     uint8_t v1 = mem.byte(swapmem::kSecretAddr);
 
     mem.applySecretSwap();

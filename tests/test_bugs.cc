@@ -238,7 +238,7 @@ TEST(PlantedBugs, B3BtbRaceMisdirectsUpdate)
         uarch::Core core(cfg);
         swapmem::Memory mem;
         StimulusData data = stimWith(21);
-        mem.installSecret(data.secret.data(), data.secret.size());
+        mem.installSecret(data.secret.data(), data.secret.size(), true);
         swapmem::SwapRuntime runtime(schedule);
         core.startSequence(runtime.start(mem));
         ift::TaintCtx ctx;

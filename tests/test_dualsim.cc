@@ -5,13 +5,15 @@
  * DualSim's lockstep co-simulation must produce bit-identical
  * DutResults to TwoPassOracle — an independent reference built here
  * on the public Core/Memory/SwapRuntime/TaintCtx calls: the sibling's
- * value pass, then instance 0's diff pass against its recorded trace —
+ * value pass, then instance 0's pass against its recorded trace —
  * with the same sinks, taint logs, trace logs and timing/state hashes
  * for instance 0 and the same value state for the sibling, across the
  * PoC suites, real triggered windows and every IftMode. Both rest on
  * one premise, checked directly here: an instance's control trace
- * does not depend on how its taint gates resolve. The same inputs
- * check that diffIFT's whole-core taint stays inside CellIFT's. A run
+ * does not depend on how its taint gates resolve, nor on whether its
+ * secret is tainted at all. Off lanes must carry no taint. The same
+ * inputs check that diffIFT's whole-core taint stays inside CellIFT's.
+ * A run
  * that resumes from the transient-boundary snapshot (a Phase-2
  * mutation, the Phase-3 sanitized twin) must be bit-identical to a run
  * from reset, whatever ran before it. And because DualSim pools its
@@ -179,23 +181,24 @@ using Traces = std::vector<ift::ControlTrace>;
 /**
  * One instance, start to finish, independent of DualSim: records each
  * cycle's control trace into @p record and/or gates against
- * @p sibling's trace for the same cycle when given. Past the
- * sibling's last cycle the view is empty (structural divergence =>
- * gates open).
+ * @p sibling's trace for the same cycle when given (DiffIFT needs
+ * one). Past the sibling's last cycle the view is empty (structural
+ * divergence => gates open). @p tainted_secret says whether the
+ * secret is a taint source.
  */
 void
 runLane(const uarch::CoreConfig &cfg,
         const swapmem::SwapSchedule &schedule,
         const harness::StimulusData &data, const SimOptions &options,
-        bool flipped_secret, Traces *record, const Traces *sibling,
-        DutResult &out)
+        bool flipped_secret, bool tainted_secret, Traces *record,
+        const Traces *sibling, DutResult &out)
 {
     static const ift::ControlTrace kEmpty;
     out = DutResult{};
     uarch::Core core(cfg);
     swapmem::Memory mem;
     auto secret = flipped_secret ? data.flippedSecret() : data.secret;
-    mem.installSecret(secret.data(), secret.size());
+    mem.installSecret(secret.data(), secret.size(), tainted_secret);
     for (size_t i = 0; i < data.operands.size(); ++i)
         mem.setOperand(static_cast<unsigned>(i), data.operands[i]);
 
@@ -250,11 +253,12 @@ runLane(const uarch::CoreConfig &cfg,
 
 /**
  * Reference differential evaluation, independent of DualSim, in two
- * passes: the sibling (flipped secret) runs to the end first, without
- * taint log or sinks, recording every cycle's control trace (no
- * sibling view of its own, so DiffIFT gates stay closed); instance 0
- * then runs against that recorded trace. The single-pass modes record
- * nothing.
+ * passes. The sibling (flipped secret) runs to the end first as a
+ * value lane: IftMode::Off, a clean secret, no taint log or sinks,
+ * recording every cycle's control trace. Instance 0 then runs in the
+ * requested mode against that recorded trace (only DiffIFT reads it).
+ * Taint enters only where it is read: instance 0's secret is tainted
+ * unless the mode is Off.
  */
 DualResult
 twoPassOracle(const uarch::CoreConfig &cfg,
@@ -263,14 +267,15 @@ twoPassOracle(const uarch::CoreConfig &cfg,
 {
     DualResult out;
     SimOptions sibling = options;
+    sibling.mode = ift::IftMode::Off;
     sibling.taint_log = false;
     sibling.sinks = false;
-    const bool diff = options.mode == ift::IftMode::DiffIFT;
     Traces traces1;
-    runLane(cfg, schedule, data, sibling, true, diff ? &traces1 : nullptr,
-            nullptr, out.dut1);
-    runLane(cfg, schedule, data, options, false, nullptr,
-            diff ? &traces1 : nullptr, out.dut0);
+    runLane(cfg, schedule, data, sibling, true, false, &traces1, nullptr,
+            out.dut1);
+    runLane(cfg, schedule, data, options, false,
+            options.mode != ift::IftMode::Off, nullptr, &traces1,
+            out.dut0);
     return out;
 }
 
@@ -338,56 +343,91 @@ const uarch::CoreConfig kConfigs[] = {uarch::smallBoomConfig(),
 
 TEST(DualSimEquivalence, LockstepMatchesTwoPassOracle)
 {
+    // One driver serves every mode, so every mode meets the oracle.
     for (const auto &cfg : kConfigs) {
         SCOPED_TRACE(cfg.name);
         DualSim lockstep_sim(cfg);
-        auto options = fullOptions(ift::IftMode::DiffIFT);
         for (const auto &input : sharedInputs(cfg)) {
             SCOPED_TRACE(input.name);
-            auto a =
-                lockstep_sim.runDual(input.schedule, input.data, options);
-            auto b = twoPassOracle(cfg, input.schedule, input.data, options);
-            expectDualEqual(a, b, true);
+            for (auto mode : {ift::IftMode::DiffIFT, ift::IftMode::CellIFT,
+                              ift::IftMode::DiffIFTFN, ift::IftMode::Off}) {
+                SCOPED_TRACE(ift::iftModeName(mode));
+                auto options = fullOptions(mode);
+                auto a = lockstep_sim.runDual(input.schedule, input.data,
+                                              options);
+                auto b = twoPassOracle(cfg, input.schedule, input.data,
+                                       options);
+                expectDualEqual(a, b, true);
+            }
         }
     }
 }
 
-TEST(DualSimEquivalence, SinglePassModesMatchOracle)
+/** No taint reached @p run: every logged cycle has no tainted module
+ *  and every sink entry is clean. The log and sinks must be there. */
+void
+expectTaintFree(const DutResult &run)
 {
-    auto cfg = uarch::smallBoomConfig();
-    auto poc = bench::meltdown();
-    DualSim sim(cfg);
-    for (auto mode : {ift::IftMode::Off, ift::IftMode::CellIFT,
-                      ift::IftMode::DiffIFTFN}) {
-        SCOPED_TRACE(static_cast<int>(mode));
-        auto a = sim.runDual(poc.schedule, poc.data, fullOptions(mode));
-        auto b = twoPassOracle(cfg, poc.schedule, poc.data,
-                               fullOptions(mode));
-        expectDualEqual(a, b, true);
+    EXPECT_FALSE(run.taint_log.cycles.empty());
+    for (const auto &cycle : run.taint_log.cycles) {
+        ASSERT_EQ(cycle.count, 0u) << "taint-log cycle " << cycle.cycle;
+    }
+    EXPECT_FALSE(run.sinks.empty());
+    for (const auto &sink : run.sinks) {
+        for (uint64_t taint : sink.taint)
+            ASSERT_EQ(taint, 0u) << "sink " << sink.label();
+    }
+}
+
+TEST(DualSimValueLanes, OffRunsCarryNoTaint)
+{
+    // Taint enters only where it is read. An Off runDual's analysed
+    // lane and every runSingle are value lanes: with the taint log and
+    // sinks on they still log no tainted module and report clean
+    // sinks, double-fetch secret swaps included.
+    for (const auto &cfg : kConfigs) {
+        SCOPED_TRACE(cfg.name);
+        DualSim sim(cfg);
+        const SimOptions options = fullOptions(ift::IftMode::Off);
+        for (const auto &input : sharedInputs(cfg)) {
+            SCOPED_TRACE(input.name);
+            {
+                SCOPED_TRACE("runDual");
+                expectTaintFree(
+                    sim.runDual(input.schedule, input.data, options).dut0);
+            }
+            {
+                SCOPED_TRACE("runSingle");
+                expectTaintFree(
+                    sim.runSingle(input.schedule, input.data, options));
+            }
+        }
     }
 }
 
 TEST(DualSimEquivalence, ControlTraceIsTaintIndependent)
 {
-    // The premise of the lockstep order and of the oracle: the control
-    // trace an instance records each cycle, and with it the value
-    // state, is the same whatever its gates resolve to. A gate site
-    // whose recorded value read taint would make DualSim and the
+    // The premise of the lockstep order, of the value lanes and of
+    // the oracle: the control trace an instance records each cycle,
+    // and with it the value state, is the same whatever its gates
+    // resolve to and whether its secret carries taint at all. A gate
+    // site whose recorded value read taint would make DualSim and the
     // oracle agree with each other while both are wrong.
     struct Setup
     {
         const char *name;
         ift::IftMode mode;
+        bool tainted_secret;
         bool empty_sibling; ///< DiffIFT against an empty view
     };
     const Setup setups[] = {
-        {"Off", ift::IftMode::Off, false},
-        {"CellIFT", ift::IftMode::CellIFT, false},
-        {"DiffIFTFN", ift::IftMode::DiffIFTFN, false},
-        {"DiffIFT, no sibling (gates closed)", ift::IftMode::DiffIFT,
+        {"Off, untainted secret (a value lane)", ift::IftMode::Off, false,
          false},
+        {"Off, tainted secret", ift::IftMode::Off, true, false},
+        {"CellIFT", ift::IftMode::CellIFT, true, false},
+        {"DiffIFTFN (gates closed)", ift::IftMode::DiffIFTFN, true, false},
         {"DiffIFT, empty sibling (gates open)", ift::IftMode::DiffIFT,
-         true},
+         true, true},
     };
     const Traces kNoTraces;
     for (const auto &cfg : kConfigs) {
@@ -406,7 +446,7 @@ TEST(DualSimEquivalence, ControlTraceIsTaintIndependent)
                     Traces traces;
                     DutResult run;
                     runLane(cfg, input.schedule, input.data, options,
-                            flipped, &traces,
+                            flipped, setup.tainted_secret, &traces,
                             setup.empty_sibling ? &kNoTraces : nullptr,
                             run);
                     if (&setup == &setups[0]) {
@@ -612,10 +652,11 @@ TEST(DualSimEquivalence, FusionOnOffIsIdentityThroughPhase3)
 
 TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
 {
-    // Phase 2 -> mutations -> Phase 3 -> another seed -> back, with
-    // single-pass runs mixed in. Every result must equal a fresh
-    // DualSim's, and every run that shares the snapshot's prefix must
-    // resume from it: a key that never matches fails here.
+    // Phase 2 -> mutations -> Phase 3 -> CellIFT and Off runs ->
+    // another seed -> back, with runSingle mixed in. Every result must
+    // equal a fresh DualSim's, and every run that shares the
+    // snapshot's prefix must resume from it: a key that never matches
+    // fails here.
     for (const auto &cfg : {uarch::smallBoomConfig(),
                             uarch::xiangshanMinimalConfig()}) {
         SCOPED_TRACE(cfg.name);
@@ -658,12 +699,7 @@ TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
             for (unsigned k = 0; k < 3; ++k) {
                 SCOPED_TRACE(k);
                 gen.mutateWindow(a, rng.next());
-                // Single-pass modes neither take nor consume the
-                // snapshot.
-                auto mode = k % 2 == 0 ? ift::IftMode::Off
-                                       : ift::IftMode::CellIFT;
-                run("single-pass dual", a.schedule, a.data,
-                    fullOptions(mode), std::nullopt);
+                // runSingle neither takes nor consumes the snapshot.
                 SimOptions hashed;
                 hashed.state_hash = true;
                 DutResult single =
@@ -675,6 +711,21 @@ TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
                 run("mutated phase 2", a.schedule, a.data, p2, true);
             }
             run("phase 3", gen.sanitizedSchedule(a), a.data, p3, true);
+            // Every mode goes through the same driver. The mode is part
+            // of the prefix, so a CellIFT or Off run replaces the
+            // DiffIFT snapshot, and its own mutations resume from it.
+            for (auto mode : {ift::IftMode::CellIFT, ift::IftMode::Off}) {
+                SCOPED_TRACE(ift::iftModeName(mode));
+                SimOptions other_mode = fullOptions(mode);
+                other_mode.taint_log = p2_log;
+                run("other mode", a.schedule, a.data, other_mode, false);
+                gen.mutateWindow(a, rng.next());
+                run("other mode, mutated", a.schedule, a.data, other_mode,
+                    true);
+                run("other mode, sanitized", gen.sanitizedSchedule(a),
+                    a.data, other_mode, true);
+            }
+            run("diffIFT again", a.schedule, a.data, p2, false);
             // One flipped secret bit, then one flipped operand bit on
             // top: each alone changes the prefix.
             harness::StimulusData other_secret = a.data;

@@ -196,13 +196,18 @@ TEST(Golden, SecretBytesAreTainted)
 {
     Memory mem;
     std::array<uint8_t, 8> secret{1, 2, 3, 4, 5, 6, 7, 8};
-    mem.installSecret(secret.data(), secret.size());
+    mem.installSecret(secret.data(), secret.size(), true);
     auto tv = mem.read(swapmem::kSecretAddr, 8);
     EXPECT_EQ(tv.v, 0x0807060504030201ULL);
     EXPECT_EQ(tv.t, ~0ULL);
     // Non-secret data is clean.
     auto clean_tv = mem.read(swapmem::kScratchAddr, 8);
     EXPECT_EQ(clean_tv.t, 0ULL);
+    // A value lane's secret: same bytes, no taint.
+    Memory value_lane;
+    value_lane.installSecret(secret.data(), secret.size(), false);
+    EXPECT_EQ(value_lane.read(swapmem::kSecretAddr, 8).v, tv.v);
+    EXPECT_EQ(value_lane.read(swapmem::kSecretAddr, 8).t, 0ULL);
 }
 
 TEST(Golden, RandomProgramsAgreeOnTermination)

@@ -158,7 +158,7 @@ TEST(RtlFig2, DiffIftSuppressesWhenVariantsAgree)
     {
         rtl::Evaluator twin(rob.netlist);
         ift::TaintCtx rec;
-        rec.begin(ift::IftMode::DiffIFT, &sibling, nullptr);
+        rec.begin(ift::IftMode::DiffIFTFN, &sibling, nullptr);
         twin.setInput(rob.enq_uopc, TV{0x15, 0});
         twin.setInput(rob.enq_valid, TV{1, 1});
         twin.setInput(rob.rob_tail_idx, TV{5, 0xff});

@@ -612,11 +612,13 @@ storedView(ift::TV tv, unsigned width)
  * One random Memory mutation, applied to @p model as well: a store, a
  * block load or zero fill (sometimes spanning pages or running past
  * the image end), a no-op store of the bytes already there, or a flag
- * flip. Each store is read back. Returns the address it stored at (a
- * random one for flag flips).
+ * flip. Each store is read back. A secret swap taints the secret as
+ * installSecret did (@p secret_tainted). Returns the address it
+ * stored at (a random one for flag flips).
  */
 uint64_t
-mutate(swapmem::Memory &mem, MemState &model, Rng &rng)
+mutate(swapmem::Memory &mem, MemState &model, Rng &rng,
+       bool secret_tainted)
 {
     const unsigned widths[] = {1, 2, 4, 8};
     const unsigned width = widths[rng.below(4)];
@@ -706,7 +708,7 @@ mutate(swapmem::Memory &mem, MemState &model, Rng &rng)
         if (!model.secret_swapped) {
             for (uint64_t i = 0; i < swapmem::kSecretBytes; ++i) {
                 const uint64_t a = swapmem::kSecretAddr + i;
-                model.store(a, model.bytes[a] ^ 0x5a, true);
+                model.store(a, model.bytes[a] ^ 0x5a, secret_tainted);
             }
             model.secret_swapped = true;
         }
@@ -739,9 +741,10 @@ expectWideReadsMatchBytes(const swapmem::Memory &mem, uint64_t addr)
 /** Mutate, then check wide reads at the stored address, unaligned
  *  just below it, and at a random (often edge) address. */
 void
-mutateAndCheckReads(swapmem::Memory &mem, MemState &model, Rng &rng)
+mutateAndCheckReads(swapmem::Memory &mem, MemState &model, Rng &rng,
+                    bool secret_tainted)
 {
-    const uint64_t addr = mutate(mem, model, rng);
+    const uint64_t addr = mutate(mem, model, rng, secret_tainted);
     expectWideReadsMatchBytes(mem, addr);
     expectWideReadsMatchBytes(mem, addr - 1 - rng.below(7));
     expectWideReadsMatchBytes(mem, randomAddr(rng));
@@ -770,12 +773,15 @@ TEST(MemoryStore, StoresMatchByteReferenceThroughResetAndCopy)
         uint8_t secret[swapmem::kSecretBytes];
         for (uint8_t &byte : secret)
             byte = static_cast<uint8_t>(rng.next());
-        mem.installSecret(secret, sizeof(secret));
+        // Every other trial installs a clean secret, as a value lane
+        // does: a later swap must keep it clean.
+        const bool tainted = trial % 2 == 0;
+        mem.installSecret(secret, sizeof(secret), tainted);
         for (uint64_t i = 0; i < swapmem::kSecretBytes; ++i)
-            model.store(swapmem::kSecretAddr + i, secret[i], true);
+            model.store(swapmem::kSecretAddr + i, secret[i], tainted);
 
         for (unsigned i = 1 + rng.below(32); i > 0; --i)
-            mutateAndCheckReads(mem, model, rng);
+            mutateAndCheckReads(mem, model, rng, tainted);
         EXPECT_TRUE(observe(mem) == model) << "trial " << trial;
         // A copy over a differently dirtied image (the previous
         // trial's) must clear what only that image wrote.

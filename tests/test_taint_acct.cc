@@ -18,8 +18,8 @@
  * (Core::verifyStageMasks()).
  *
  * Stimuli: the PoC suite plus Phase-1-triggered windows on both
- * core configs, under closed-gate diffIFT and full CellIFT (the
- * open-gate mode propagates the most taint and stresses the
+ * core configs, under DiffIFTFN (every gate closed) and full CellIFT
+ * (the open-gate mode propagates the most taint and stresses the
  * accounting hardest), plus random secrets/operands.
  */
 
@@ -85,7 +85,7 @@ runAndVerify(const uarch::CoreConfig &cfg,
     uarch::Core core(cfg);
     swapmem::Memory mem;
     auto secret = flipped_secret ? data.flippedSecret() : data.secret;
-    mem.installSecret(secret.data(), secret.size());
+    mem.installSecret(secret.data(), secret.size(), true);
     for (size_t i = 0; i < data.operands.size(); ++i)
         mem.setOperand(static_cast<unsigned>(i), data.operands[i]);
 
@@ -154,7 +154,7 @@ TEST(TaintAcctProperty, PocSuiteMatchesRescanEveryCycle)
         SCOPED_TRACE(cfg.name);
         for (const auto &poc : bench::pocSuite()) {
             SCOPED_TRACE(poc.name);
-            for (auto mode : {ift::IftMode::DiffIFT,
+            for (auto mode : {ift::IftMode::DiffIFTFN,
                               ift::IftMode::CellIFT}) {
                 SCOPED_TRACE(static_cast<int>(mode));
                 runAndVerify(cfg, poc.schedule, poc.data, mode, false);
@@ -174,7 +174,7 @@ TEST(TaintAcctProperty, TriggeredWindowsMatchRescanEveryCycle)
         ASSERT_FALSE(cases.empty());
         for (size_t i = 0; i < cases.size(); ++i) {
             SCOPED_TRACE(i);
-            for (auto mode : {ift::IftMode::DiffIFT,
+            for (auto mode : {ift::IftMode::DiffIFTFN,
                               ift::IftMode::CellIFT}) {
                 SCOPED_TRACE(static_cast<int>(mode));
                 runAndVerify(cfg, cases[i].schedule, cases[i].data,

@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "swapmem/layout.hh"
+#include "util/bits.hh"
 #include "util/logging.hh"
 
 namespace dejavuzz::core {
@@ -73,7 +74,7 @@ StimGen::newSeed(Rng &rng, uint64_t id, TriggerKind force,
         model_mask = kLegacyModelMask;
     if (model_mask != kLegacyModelMask) {
         unsigned count =
-            static_cast<unsigned>(std::popcount(model_mask));
+            static_cast<unsigned>(popcount64(model_mask));
         unsigned pick = static_cast<unsigned>(rng.below(count));
         uint32_t bits = model_mask;
         for (unsigned i = 0; i < pick; ++i)
@@ -102,7 +103,7 @@ StimGen::newSeed(Rng &rng, uint64_t id, TriggerKind force,
     if (force != TriggerKind::kCount) {
         seed.trigger = force;
     } else {
-        unsigned count = static_cast<unsigned>(std::popcount(allowed));
+        unsigned count = static_cast<unsigned>(popcount64(allowed));
         unsigned pick = static_cast<unsigned>(rng.below(count));
         uint32_t bits = allowed;
         for (unsigned i = 0; i < pick; ++i)

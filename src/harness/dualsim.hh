@@ -162,6 +162,14 @@ class DualSim
      *  runSingle, whether or not a run resumed from a snapshot. */
     uint64_t simulations() const { return simulations_; }
 
+    /** The core of instance @p instance (0 or 1) as the last run left
+     *  it: its taint accounts, for the value-lane checks. */
+    const uarch::Core &
+    laneCore(unsigned instance) const
+    {
+        return instance == 0 ? lane0_.core : lane1_.core;
+    }
+
   private:
     /** Pooled per-instance simulation resources. */
     struct Lane

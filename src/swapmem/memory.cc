@@ -237,8 +237,24 @@ Memory::fetchWord(uint64_t addr) const
 void
 Memory::loadBlock(uint64_t addr, const uint32_t *words, size_t count)
 {
-    for (size_t i = 0; i < count; ++i)
-        write(addr + 4 * i, 4, TV{words[i], 0});
+    if (addr % 4 != 0 || !inImage(addr, 4 * static_cast<uint64_t>(count))) {
+        for (size_t i = 0; i < count; ++i)
+            write(addr + 4 * i, 4, TV{words[i], 0});
+        return;
+    }
+    // write()'s rules, one word at a time in one loop: an unchanged
+    // clean word is skipped, and a stored word dirties its page (an
+    // aligned word never straddles one).
+    uint8_t *data = &data_[addr];
+    uint8_t *taint = &taint_[addr];
+    for (size_t i = 0; i < count; ++i, data += 4, taint += 4) {
+        if (((loadAs<uint32_t>(data) ^ words[i]) |
+             loadAs<uint32_t>(taint)) == 0)
+            continue;
+        dirty_pages_ |= 1ULL << ((addr + 4 * i) / kPageBytes);
+        storeAs(data, words[i]);
+        storeAs(taint, uint32_t{0});
+    }
 }
 
 void

@@ -70,7 +70,12 @@ class Memory
     /** 32-bit instruction fetch word. */
     uint32_t fetchWord(uint64_t addr) const;
 
-    /** Store @p count little-endian, untainted words from @p addr. */
+    /**
+     * Store @p count little-endian, untainted words from @p addr,
+     * exactly as @p count write() calls would. A word-aligned block
+     * inside the image takes one inline compare-and-store loop; any
+     * other block falls back to write().
+     */
     void loadBlock(uint64_t addr, const uint32_t *words, size_t count);
     /**
      * Zero-fill [addr, addr + bytes) clamped to the image, clearing

@@ -105,15 +105,17 @@ SwapRuntime::loadCurrent(Memory &mem)
 {
     const SwapPacket &packet = current();
     dv_assert(packet.instrs.size() * 4 <= kSwapSize);
-    // Encode straight into the swappable region, then clear whatever
-    // is left past the packet (the previous packet's tail and any
-    // U-mode stores). Unchanged bytes are not stored at all.
-    uint64_t addr = kSwapBase;
-    for (const auto &instr : packet.instrs) {
-        mem.write(addr, 4, ift::TV{isa::encode(instr), 0});
-        addr += 4;
-    }
-    mem.zeroRange(addr, kSwapBase + kSwapSize - addr);
+    // Encode into a stack buffer, load it into the swappable region in
+    // one block, then clear whatever is left past the packet (the
+    // previous packet's tail and any U-mode stores). Unchanged bytes
+    // are not stored at all.
+    uint32_t words[kSwapSize / 4];
+    size_t count = 0;
+    for (const auto &instr : packet.instrs)
+        words[count++] = isa::encode(instr);
+    mem.loadBlock(kSwapBase, words, count);
+    const uint64_t end = kSwapBase + 4 * count;
+    mem.zeroRange(end, kSwapBase + kSwapSize - end);
 
     // Update the secret's protection when entering the transient
     // packet (the paper updates permissions after all training).

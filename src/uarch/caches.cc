@@ -8,18 +8,20 @@ namespace dejavuzz::uarch {
 namespace {
 
 /** Population contribution of one TV-carrying entry. */
-ift::TaintContrib
+inline ift::TaintContrib
 tvContrib(const TV &tv)
 {
-    return {tv.t != 0 ? 1u : 0u,
-            static_cast<uint64_t>(popcount64(tv.t))};
+    if (tv.t == 0)
+        return {};
+    return {1u, static_cast<uint64_t>(popcount64(tv.t))};
 }
 
-ift::TaintContrib
+inline ift::TaintContrib
 maskContrib(uint64_t taint)
 {
-    return {taint != 0 ? 1u : 0u,
-            static_cast<uint64_t>(popcount64(taint))};
+    if (taint == 0)
+        return {};
+    return {1u, static_cast<uint64_t>(popcount64(taint))};
 }
 
 } // namespace

@@ -28,40 +28,54 @@ rangesOverlap(uint64_t a, unsigned a_bytes, uint64_t b, unsigned b_bytes)
 // Taint contributions of the scanned containers, matching the legacy
 // moduleTaintStats scan exactly (see ift/taintacct.hh): every write to
 // a counted field is wrapped in a before/after pair at the write site.
+// Each returns at once when its taint is zero, as it always is on a
+// value lane, so an untainted entry costs one test and no popcount.
+// They are marked inline because GCC would otherwise call them out of
+// line, now that popcount64 is an inline sum.
 
-ift::TaintContrib
+inline ift::TaintContrib
 robContrib(const RobEntry &entry)
 {
     // regs counts any-field taint (meta|result|addr); bits counts only
     // meta+result, mirroring the original scan's asymmetry.
-    uint64_t any = entry.meta.t | entry.result.t | entry.addr.t;
-    return {any != 0 ? 1u : 0u,
-            static_cast<uint64_t>(popcount64(entry.meta.t)) +
-                static_cast<uint64_t>(popcount64(entry.result.t))};
+    uint64_t any = entry.meta | entry.result.t | entry.addr.t;
+    if (any == 0)
+        return {};
+    return {1u, static_cast<uint64_t>(popcount64(entry.meta)) +
+                    static_cast<uint64_t>(popcount64(entry.result.t))};
 }
 
-ift::TaintContrib
+inline ift::TaintContrib
 lqContrib(const LqEntry &entry)
 {
     // Counted regardless of entry.valid (scan quirk kept).
-    return {entry.addr.t != 0 ? 1u : 0u,
-            static_cast<uint64_t>(popcount64(entry.addr.t))};
+    if (entry.addr.t == 0)
+        return {};
+    return {1u, static_cast<uint64_t>(popcount64(entry.addr.t))};
 }
 
-ift::TaintContrib
+inline ift::TaintContrib
 sqContrib(const SqEntry &entry)
 {
-    return {(entry.addr.t | entry.data.t) != 0 ? 1u : 0u,
-            static_cast<uint64_t>(popcount64(entry.addr.t)) +
-                static_cast<uint64_t>(popcount64(entry.data.t))};
+    if ((entry.addr.t | entry.data.t) == 0)
+        return {};
+    return {1u, static_cast<uint64_t>(popcount64(entry.addr.t)) +
+                    static_cast<uint64_t>(popcount64(entry.data.t))};
 }
 
-ift::TaintContrib
+inline ift::TaintContrib
 prfContrib(const TV &value)
 {
-    return {value.t != 0 ? 1u : 0u,
-            static_cast<uint64_t>(popcount64(value.t))};
+    if (value.t == 0)
+        return {};
+    return {1u, static_cast<uint64_t>(popcount64(value.t))};
 }
+
+/** Defaults the per-cycle slot resets copy from (see phaseDispatch). */
+const RobEntry kEmptyRobEntry{};
+const LqEntry kEmptyLqEntry{};
+const SqEntry kEmptySqEntry{};
+const FetchSlot kEmptyFetchSlot{};
 
 /** Bulk adoption after a wholesale recompute (RoB-rollback taint). */
 void
@@ -283,7 +297,7 @@ Core::applyRollbackTaint(TV squash_taint, ift::TaintCtx &ctx)
     // tainted enable (the CellIFT taint-explosion mechanism).
     rob_tail_taint_.t = ~0ULL;
     for (auto &entry : rob)
-        entry.meta.t = ~0ULL;
+        entry.meta = ~0ULL;
     for (auto &taint : rename_taint)
         taint = 1;
     for (auto &e : lq)
@@ -346,7 +360,7 @@ Core::squashYounger(uint64_t from_seq, bool inclusive, TV redirect,
         ++rec.flushed;
         if (entry.stage >= 1)
             ++rec.transient_executed;
-        flushed_taint |= entry.result.t | entry.addr.t | entry.meta.t;
+        flushed_taint |= entry.result.t | entry.addr.t | entry.meta;
         rollbackEntry(entry);
         --rob_count;
     }
@@ -1119,9 +1133,11 @@ Core::phaseDispatch(ift::TaintCtx &ctx, TraceLog *trace)
         RobEntry &entry = rob[tail];
         // The wipe clears the stale occupant's (counted) taint and the
         // meta assignment below writes the new entry's: one account
-        // delta spans both.
+        // delta spans both. Every reset copies a static default: a
+        // `T{}` temporary is built with narrow stores and read back
+        // with wide loads, a store-forwarding stall per slot.
         ift::TaintContrib rob_before = robContrib(entry);
-        entry = RobEntry{};
+        entry = kEmptyRobEntry;
         entry.valid = true;
         setStage(entry, 0);
         entry.seq = nextSeq();
@@ -1139,9 +1155,8 @@ Core::phaseDispatch(ift::TaintCtx &ctx, TraceLog *trace)
         // taint reaches the new entry only through an open gate (under
         // diffIFT that needs an actual cross-instance divergence).
         bool enq_gate = ctx.gate(ift::sigId(kModRob, 2), slot.pc);
-        entry.meta = TV{isa::encode(instr),
-                        (slot.pc_taint ? ~0ULL : 0ULL) |
-                            (enq_gate ? rob_tail_taint_.t : 0)};
+        entry.meta = (slot.pc_taint ? ~0ULL : 0ULL) |
+                     (enq_gate ? rob_tail_taint_.t : 0);
         rob_acct_.apply(rob_before, robContrib(entry));
 
         // Fetch faults dispatch as immediately-done faulting entries.
@@ -1188,7 +1203,7 @@ Core::phaseDispatch(ift::TaintCtx &ctx, TraceLog *trace)
             entry.lq = lq_slot;
             LqEntry &lqe = lq[lq_slot];
             ift::TaintContrib before = lqContrib(lqe);
-            lqe = LqEntry{};
+            lqe = kEmptyLqEntry;
             lq_acct_.apply(before, lqContrib(lqe));
             lqe.valid = true;
             lqe.rob_slot = static_cast<int>(tail);
@@ -1198,7 +1213,7 @@ Core::phaseDispatch(ift::TaintCtx &ctx, TraceLog *trace)
             entry.sq = sq_slot;
             SqEntry &sqe = sq[sq_slot];
             ift::TaintContrib before = sqContrib(sqe);
-            sqe = SqEntry{};
+            sqe = kEmptySqEntry;
             sq_acct_.apply(before, sqContrib(sqe));
             sqe.valid = true;
             sqe.rob_slot = static_cast<int>(tail);
@@ -1313,7 +1328,7 @@ Core::phaseFetch(Memory &mem, ift::TaintCtx &ctx)
 
         ExcCause exc = mem.check(pc.v, 4, AccessKind::Fetch, priv);
         FetchSlot &slot = fetchq[fetchSlot(fetchq_count)];
-        slot = FetchSlot{};
+        slot = kEmptyFetchSlot;
         slot.valid = true;
         slot.pc = pc.v;
         slot.pc_taint = pc.t != 0 ? 1 : 0;
@@ -1422,9 +1437,7 @@ Core::tick(Memory &mem, ift::TaintCtx &ctx, TraceLog *trace)
 void
 Core::moduleTaintStats(std::array<ModuleStat, kModCount> &stats) const
 {
-    for (auto &stat : stats)
-        stat = ModuleStat{};
-
+    // Every module is put below, so nothing is wiped first.
     auto put = [&](ModuleId id, uint32_t regs, uint64_t bits) {
         stats[id].tainted_regs = regs;
         stats[id].taint_bits = bits;
@@ -1523,10 +1536,10 @@ Core::moduleTaintStatsRescan(
         uint32_t regs = rob_tail_taint_.t != 0 ? 1 : 0;
         uint64_t bits = popcount64(rob_tail_taint_.t);
         for (const auto &entry : rob) {
-            uint64_t taint = entry.meta.t | entry.result.t |
+            uint64_t taint = entry.meta | entry.result.t |
                              entry.addr.t;
             regs += taint != 0;
-            bits += popcount64(entry.meta.t) +
+            bits += popcount64(entry.meta) +
                     popcount64(entry.result.t);
         }
         put(kModRob, regs, bits);
@@ -1730,7 +1743,7 @@ Core::enumSinks(std::vector<ift::SinkSnapshot> &out) const
         sink.live.resize(rob.size());
         for (size_t i = 0; i < rob.size(); ++i) {
             sink.taint[i] =
-                rob[i].meta.t | rob[i].result.t | rob[i].addr.t;
+                rob[i].meta | rob[i].result.t | rob[i].addr.t;
             sink.live[i] = rob[i].valid ? 1 : 0;
         }
     }

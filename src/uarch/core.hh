@@ -110,8 +110,12 @@ struct RobEntry
     unsigned bytes = 0;
     bool forwarded = false;
 
-    /** Entry field-register bundle (the Fig. 2 uopc analog). */
-    TV meta;
+    /**
+     * Taint of the entry's field registers (the Fig. 2 uopc analog).
+     * Only the taint is modelled: nothing reads the bundle's value,
+     * and the instruction itself is in @c instr.
+     */
+    uint64_t meta = 0;
 
     uint32_t dispatch_cycle = 0;
 };

@@ -22,11 +22,12 @@ nextSink(ift::SinkWriter &out, ift::SinkId id, size_t entries)
 }
 
 /** Population contribution of one TV entry. */
-ift::TaintContrib
+inline ift::TaintContrib
 tvContrib(const TV &tv)
 {
-    return {tv.t != 0 ? 1u : 0u,
-            static_cast<uint64_t>(popcount64(tv.t))};
+    if (tv.t == 0)
+        return {};
+    return {1u, static_cast<uint64_t>(popcount64(tv.t))};
 }
 
 } // namespace

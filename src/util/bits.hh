@@ -35,11 +35,19 @@ signExtend(uint64_t value, unsigned width)
     return static_cast<int64_t>(((value & maskLow(width)) ^ sign) - sign);
 }
 
-/** Number of set bits. */
+/**
+ * Number of set bits, as an inline branch-free SWAR sum. Without a
+ * -mpopcnt target, std::popcount compiles to an out-of-line libgcc
+ * call (__popcountdi2) on every taint word, most of them zero.
+ */
 constexpr int
 popcount64(uint64_t value)
 {
-    return std::popcount(value);
+    value -= (value >> 1) & 0x5555555555555555ULL;
+    value = (value & 0x3333333333333333ULL) +
+            ((value >> 2) & 0x3333333333333333ULL);
+    value = (value + (value >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return static_cast<int>((value * 0x0101010101010101ULL) >> 56);
 }
 
 /** Number of trailing zero bits (64 for zero input). */

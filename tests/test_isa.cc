@@ -9,6 +9,7 @@
 #include "isa/builder.hh"
 #include "isa/encoding.hh"
 #include "isa/instr.hh"
+#include "util/bits.hh"
 #include "util/rng.hh"
 
 namespace dejavuzz::isa {
@@ -179,6 +180,34 @@ TEST(IsaMeta, AccessBytes)
     EXPECT_EQ(accessBytes(Op::FLD), 8u);
     EXPECT_EQ(accessBytes(Op::SD), 8u);
     EXPECT_EQ(accessBytes(Op::ADD), 0u);
+}
+
+/** Set bits of @p value, one bit at a time. */
+int
+popcountReference(uint64_t value)
+{
+    int n = 0;
+    for (unsigned bit = 0; bit < 64; ++bit)
+        n += static_cast<int>((value >> bit) & 1);
+    return n;
+}
+
+static_assert(popcount64(0) == 0 && popcount64(~0ULL) == 64 &&
+                  popcount64(0x8000000000000001ULL) == 2,
+              "popcount64 is usable in constant expressions");
+
+TEST(Bits, Popcount64MatchesBitLoop)
+{
+    EXPECT_EQ(popcount64(0), 0);
+    EXPECT_EQ(popcount64(~0ULL), 64);
+    for (unsigned bit = 0; bit < 64; ++bit)
+        EXPECT_EQ(popcount64(1ULL << bit), 1) << "bit " << bit;
+    Rng rng(0x9097c0);
+    for (int i = 0; i < 10000; ++i) {
+        uint64_t value = rng.next();
+        ASSERT_EQ(popcount64(value), popcountReference(value))
+            << std::hex << value;
+    }
 }
 
 TEST(Builder, LabelsResolveForwardAndBackward)

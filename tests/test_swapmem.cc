@@ -608,17 +608,25 @@ storedView(ift::TV tv, unsigned width)
     return view;
 }
 
+/** Block loads drawn, by the Memory::loadBlock path they take. */
+struct BlockLoads
+{
+    unsigned word_loop = 0; ///< word-aligned and inside the image
+    unsigned fallback = 0;  ///< unaligned or reaching the image end
+};
+
 /**
  * One random Memory mutation, applied to @p model as well: a store, a
  * block load or zero fill (sometimes spanning pages or running past
  * the image end), a no-op store of the bytes already there, or a flag
  * flip. Each store is read back. A secret swap taints the secret as
- * installSecret did (@p secret_tainted). Returns the address it
- * stored at (a random one for flag flips).
+ * installSecret did (@p secret_tainted). Block loads are counted in
+ * @p loads. Returns the address it stored at (a random one for flag
+ * flips).
  */
 uint64_t
 mutate(swapmem::Memory &mem, MemState &model, Rng &rng,
-       bool secret_tainted)
+       bool secret_tainted, BlockLoads &loads)
 {
     const unsigned widths[] = {1, 2, 4, 8};
     const unsigned width = widths[rng.below(4)];
@@ -658,24 +666,31 @@ mutate(swapmem::Memory &mem, MemState &model, Rng &rng,
         break;
       }
       case 3:
-      case 4:
+      case 4: {
         // Case 4 writes the current words back: a no-op wherever the
-        // bytes are untainted, a taint clear elsewhere.
+        // bytes are untainted, a taint clear elsewhere. Half the
+        // blocks start word-aligned, as packet loads do.
+        const uint64_t base = rng.chance(1, 2) ? addr & ~3ULL : addr;
+        if (base % 4 == 0 && base + 4 * block.size() <= swapmem::kMemBytes)
+            ++loads.word_loop;
+        else
+            ++loads.fallback;
         for (size_t i = 0; i < block.size(); ++i) {
             block[i] = kind == 3 ? static_cast<uint32_t>(rng.next())
-                                 : mem.fetchWord(addr + 4 * i);
+                                 : mem.fetchWord(base + 4 * i);
         }
-        mem.loadBlock(addr, block.data(), block.size());
+        mem.loadBlock(base, block.data(), block.size());
         for (size_t i = 0; i < block.size(); ++i)
-            model.storeTV(addr + 4 * i, 4, ift::TV{block[i], 0});
+            model.storeTV(base + 4 * i, 4, ift::TV{block[i], 0});
         for (size_t i = 0; i < block.size(); ++i) {
-            const uint64_t a = addr + 4 * i;
+            const uint64_t a = base + 4 * i;
             if (a + 4 <= swapmem::kMemBytes) {
                 EXPECT_EQ(mem.read(a, 4), (ift::TV{block[i], 0}))
                     << "loadBlock word at " << a;
             }
         }
-        break;
+        return base;
+      }
       case 5:
         mem.zeroRange(addr, 4 * words);
         for (uint64_t a = addr; a < addr + 4 * words; ++a)
@@ -742,9 +757,9 @@ expectWideReadsMatchBytes(const swapmem::Memory &mem, uint64_t addr)
  *  just below it, and at a random (often edge) address. */
 void
 mutateAndCheckReads(swapmem::Memory &mem, MemState &model, Rng &rng,
-                    bool secret_tainted)
+                    bool secret_tainted, BlockLoads &loads)
 {
-    const uint64_t addr = mutate(mem, model, rng, secret_tainted);
+    const uint64_t addr = mutate(mem, model, rng, secret_tainted, loads);
     expectWideReadsMatchBytes(mem, addr);
     expectWideReadsMatchBytes(mem, addr - 1 - rng.below(7));
     expectWideReadsMatchBytes(mem, randomAddr(rng));
@@ -753,17 +768,20 @@ mutateAndCheckReads(swapmem::Memory &mem, MemState &model, Rng &rng,
 TEST(MemoryStore, StoresMatchByteReferenceThroughResetAndCopy)
 {
     // Property: after any sequence of stores, no-op stores,
-    // packet-style block loads and zero fills across pages and the
-    // image end, and secret-protection, victim-placement and
-    // secret-swap flips, the Memory holds exactly what a
-    // byte-at-a-time reference holds, flags included. Each store reads
-    // back, wide reads agree with the byte view throughout, and
-    // reset() and copyFrom() see every page a store wrote.
+    // packet-style block loads (word-aligned in-image ones take
+    // loadBlock's word loop, the rest its write() fallback) and zero
+    // fills across pages and the image end, and secret-protection,
+    // victim-placement and secret-swap flips, the Memory holds exactly
+    // what a byte-at-a-time reference holds, flags included. Each
+    // store reads back, wide reads agree with the byte view
+    // throughout, and reset() and copyFrom() see every page a store
+    // wrote.
     Rng rng(0x0d0109);
     swapmem::Memory mem;
     swapmem::Memory copy;
     const MemState pristine = observe(mem);
     unsigned flag_changes = 0;
+    BlockLoads loads;
     for (int trial = 0; trial < 60; ++trial) {
         // reset() and copyFrom() touch only dirty pages, so these
         // checks also catch a store that failed to mark a page.
@@ -781,7 +799,7 @@ TEST(MemoryStore, StoresMatchByteReferenceThroughResetAndCopy)
             model.store(swapmem::kSecretAddr + i, secret[i], tainted);
 
         for (unsigned i = 1 + rng.below(32); i > 0; --i)
-            mutateAndCheckReads(mem, model, rng, tainted);
+            mutateAndCheckReads(mem, model, rng, tainted, loads);
         EXPECT_TRUE(observe(mem) == model) << "trial " << trial;
         // A copy over a differently dirtied image (the previous
         // trial's) must clear what only that image wrote.
@@ -795,6 +813,9 @@ TEST(MemoryStore, StoresMatchByteReferenceThroughResetAndCopy)
     // The flags must actually have moved in some trials, so reset()
     // and copyFrom() are seen to carry them.
     EXPECT_GT(flag_changes, 10u);
+    // Both loadBlock paths must have been drawn, each several times.
+    EXPECT_GT(loads.word_loop, 10u);
+    EXPECT_GT(loads.fallback, 10u);
 }
 
 } // namespace

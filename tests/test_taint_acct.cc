@@ -21,6 +21,10 @@
  * core configs, under DiffIFTFN (every gate closed) and full CellIFT
  * (the open-gate mode propagates the most taint and stresses the
  * accounting hardest), plus random secrets/operands.
+ *
+ * Value lanes (the sibling, every runSingle and every Off run) carry
+ * no taint, so each contribution helper takes its zero exit there:
+ * their accounts must stay zero and never move.
  */
 
 #include <gtest/gtest.h>
@@ -198,6 +202,52 @@ TEST(TaintAcctProperty, RandomSecretsMatchRescanEveryCycle)
             StimulusData data = StimulusData::random(rng);
             runAndVerify(cfg, poc.schedule, data,
                          ift::IftMode::CellIFT, false);
+        }
+    }
+}
+
+/** @p core's accounts read zero, never moved, and match the rescan. */
+void
+expectZeroAccounts(const uarch::Core &core)
+{
+    std::array<uarch::ModuleStat, uarch::kModCount> stats;
+    core.moduleTaintStats(stats);
+    for (size_t m = 0; m < uarch::kModCount; ++m) {
+        EXPECT_EQ(stats[m].tainted_regs, 0u) << "module " << m;
+        EXPECT_EQ(stats[m].taint_bits, 0u) << "module " << m;
+    }
+    EXPECT_EQ(core.taintTransitions(), 0u);
+    EXPECT_TRUE(core.verifyTaintAccounts());
+}
+
+TEST(TaintAcctValueLanes, AccountsStayZero)
+{
+    for (const auto &cfg : {uarch::smallBoomConfig(),
+                            uarch::xiangshanMinimalConfig()}) {
+        SCOPED_TRACE(cfg.name);
+        harness::DualSim sim(cfg);
+        for (const auto &poc : bench::pocSuite()) {
+            SCOPED_TRACE(poc.name);
+            SimOptions off;
+            off.mode = ift::IftMode::Off;
+            SimOptions diff = off;
+            diff.mode = ift::IftMode::DiffIFTFN;
+            {
+                SCOPED_TRACE("Off runSingle");
+                sim.runSingle(poc.schedule, poc.data, off);
+                expectZeroAccounts(sim.laneCore(0));
+            }
+            {
+                SCOPED_TRACE("Off runDual");
+                sim.runDual(poc.schedule, poc.data, off);
+                expectZeroAccounts(sim.laneCore(0));
+                expectZeroAccounts(sim.laneCore(1));
+            }
+            {
+                SCOPED_TRACE("DiffIFTFN runDual sibling");
+                sim.runDual(poc.schedule, poc.data, diff);
+                expectZeroAccounts(sim.laneCore(1));
+            }
         }
     }
 }

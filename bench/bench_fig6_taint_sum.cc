@@ -37,11 +37,14 @@ measure(const uarch::CoreConfig &cfg, const bench::Poc &poc,
     options.taint_log = true;
     auto result = sim.runDual(poc.schedule, poc.data, options);
     Series series;
-    for (const auto &cycle : result.dut0.taint_log.cycles) {
-        if (series.sums.size() <= cycle.cycle)
-            series.sums.resize(cycle.cycle + 1, 0);
-        series.sums[cycle.cycle] = cycle.taintSum();
-    }
+    result.dut0.taint_log.inEffect(
+        0, UINT64_MAX,
+        [&](const ift::TaintLogCycle &rec, uint64_t from, uint64_t to) {
+            if (series.sums.size() < to)
+                series.sums.resize(to, 0);
+            std::fill(series.sums.begin() + from, series.sums.begin() + to,
+                      rec.taintSum());
+        });
     const auto *window = result.dut0.trace.principalWindow();
     if (window != nullptr)
         series.window_open = window->open_cycle;

@@ -114,13 +114,15 @@ main()
             sim_options.taint_log = true;
             auto result = replay_sim.runDual(sched, data, sim_options);
             const auto &log = result.dut0.taint_log;
-            for (const auto &cycle : log.cycles) {
-                for (const auto *sample = log.samplesBegin(cycle);
-                     sample != log.samplesEnd(cycle); ++sample) {
-                    sd_coverage.sample(ids[sample->module_id],
-                                       sample->tainted_regs);
-                }
-            }
+            log.inEffect(0, UINT64_MAX,
+                         [&](const ift::TaintLogCycle &rec, uint64_t,
+                             uint64_t) {
+                             for (const auto *sample = log.samplesBegin(rec);
+                                  sample != log.samplesEnd(rec); ++sample) {
+                                 sd_coverage.sample(ids[sample->module_id],
+                                                    sample->tainted_regs);
+                             }
+                         });
         };
         for (uint64_t i = 0; i < iters; ++i) {
             specdoctor.run(1);

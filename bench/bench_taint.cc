@@ -157,8 +157,10 @@ runPhase3(benchmark::State &state, bool fused)
     uint64_t analysed = 0;
     for (auto _ : state) {
         for (const auto &tc : cases) {
-            explore_sim.runDual(tc.schedule, tc.data, phase2_options,
-                                explore);
+            // As Phase 2 does: name the encode block its twin nops.
+            explore_sim.runDual(
+                tc.schedule, tc.data, phase2_options, explore,
+                harness::WordRange{tc.encode_begin, tc.encode_end});
             analyze_sim.runDual(gen.sanitizedSchedule(tc), tc.data,
                                 phase3_options, analyze);
             ++analysed;

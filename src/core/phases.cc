@@ -137,7 +137,10 @@ Phase2::run(const TestCase &tc)
     harness::SimOptions options = options_;
     options.taint_log = true;
     options.sinks = true;
-    sim_->runDual(tc.schedule, tc.data, options, result.dual);
+    // Phase 3's sanitized twin rewrites the encode block; naming it
+    // lets the twin resume where the two runs can first differ.
+    sim_->runDual(tc.schedule, tc.data, options, result.dual,
+                  harness::WordRange{tc.encode_begin, tc.encode_end});
 
     result.window = checkWindow(result.dual.dut0.trace, tc);
     result.window_ok = result.dual.dut0.completed &&
@@ -147,28 +150,28 @@ Phase2::run(const TestCase &tc)
 
     // Taint must increase inside the window's cycle range.
     const auto &log = result.dual.dut0.taint_log;
+    const uint64_t open = result.window.open_cycle;
+    const uint64_t close = result.window.close_cycle;
     uint64_t before = 0;
-    for (const auto &cyc : log.cycles) {
-        if (cyc.cycle < result.window.open_cycle)
-            before = cyc.taintSum();
-    }
-    uint64_t peak = log.maxTaintSumIn(result.window.open_cycle,
-                                      result.window.close_cycle + 8);
+    log.inEffect(0, open,
+                 [&](const ift::TaintLogCycle &rec, uint64_t, uint64_t) {
+                     before = rec.taintSum();
+                 });
+    uint64_t peak = log.maxTaintSumIn(open, close + 8);
     result.taint_propagated = peak > before;
     if (!result.taint_propagated)
         return result;
 
-    // Coverage measurement over the window range.
-    for (const auto &cyc : log.cycles) {
-        if (cyc.cycle < result.window.open_cycle ||
-            cyc.cycle > result.window.close_cycle + 8)
-            continue;
-        for (const auto *sample = log.samplesBegin(cyc);
-             sample != log.samplesEnd(cyc); ++sample) {
-            coverage_->sample(module_ids_[sample->module_id],
-                              sample->tainted_regs);
-        }
-    }
+    // Coverage measurement over the window range. A repeated sample
+    // marks nothing new, so each record is sampled once.
+    log.inEffect(open, close + 9,
+                 [&](const ift::TaintLogCycle &rec, uint64_t, uint64_t) {
+                     for (const auto *sample = log.samplesBegin(rec);
+                          sample != log.samplesEnd(rec); ++sample) {
+                         coverage_->sample(module_ids_[sample->module_id],
+                                           sample->tainted_regs);
+                     }
+                 });
     result.new_coverage = coverage_->takeNewPoints();
     return result;
 }
@@ -296,9 +299,9 @@ Phase3::run(const TestCase &tc, const Phase2Result &phase2,
     }
 
     // Encode sanitization: re-run with the encoding block nopped and
-    // diff the taint footprints. The sanitized twin shares the Phase-2
-    // run's training prefix, so the harness resumes it from the
-    // transient-boundary snapshot.
+    // diff the taint footprints. The sanitized twin repeats the Phase-2
+    // run until the encode block is first reached, so the harness
+    // resumes it there (or, failing that, at the transient boundary).
     harness::SimOptions options = options_;
     options.taint_log = false;
     options.sinks = true;

@@ -44,23 +44,40 @@ resumePoint(const SwapSchedule &schedule)
     return SIZE_MAX;
 }
 
-/** Same words in memory: Instr::operator== ignores `raw`, which
+/** Same word in memory: Instr::operator== ignores `raw`, which
  *  encode() emits for an ILLEGAL instruction. */
+bool
+sameWord(const isa::Instr &x, const isa::Instr &y)
+{
+    return x == y && x.raw == y.raw;
+}
+
 bool
 sameInstrs(const std::vector<isa::Instr> &a,
            const std::vector<isa::Instr> &b)
 {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                      [](const isa::Instr &x, const isa::Instr &y) {
-                          return x == y && x.raw == y.raw;
-                      });
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(), sameWord);
+}
+
+/**
+ * Can a run under @p wanted resume from a capture taken under
+ * @p captured? The mode and both budgets shape the prefix; a run that
+ * logs taint needs a capture that logged it.
+ */
+bool
+optionsAllow(const SimOptions &captured, const SimOptions &wanted)
+{
+    return captured.mode == wanted.mode &&
+           captured.packet_cycle_budget == wanted.packet_cycle_budget &&
+           captured.total_cycle_budget == wanted.total_cycle_budget &&
+           (captured.taint_log || !wanted.taint_log);
 }
 
 } // namespace
 
 DualSim::DualSim(const uarch::CoreConfig &config)
     : cfg_(config), lane0_(config), lane1_(config), capture0_(config),
-      capture1_(config)
+      capture1_(config), divergence0_(config), divergence1_(config)
 {}
 
 void
@@ -104,10 +121,7 @@ DualSim::PrefixKey::resumable(const SwapSchedule &schedule_in,
         schedule.double_fetch != schedule_in.double_fetch ||
         data.secret != data_in.secret ||
         data.operands != data_in.operands ||
-        options.mode != options_in.mode ||
-        options.packet_cycle_budget != options_in.packet_cycle_budget ||
-        options.total_cycle_budget != options_in.total_cycle_budget ||
-        (options_in.taint_log && !options.taint_log))
+        !optionsAllow(options, options_in))
         return false;
     for (size_t i = 0; i < count; ++i) {
         const SwapPacket &mine = schedule.packets[i];
@@ -118,6 +132,23 @@ DualSim::PrefixKey::resumable(const SwapSchedule &schedule_in,
             return false;
     }
     return true;
+}
+
+bool
+DualSim::DivergenceKey::matches(const SwapSchedule &schedule,
+                                size_t transient_in,
+                                const SimOptions &options_in) const
+{
+    if (!valid || transient_in + 1 != schedule.packets.size() ||
+        !optionsAllow(options, options_in))
+        return false;
+    const std::vector<isa::Instr> &instrs =
+        schedule.packets[transient_in].instrs;
+    return instrs.size() == transient.size() &&
+           std::equal(instrs.begin(), instrs.begin() + twin.begin,
+                      transient.begin(), sameWord) &&
+           std::equal(instrs.begin() + twin.end, instrs.end(),
+                      transient.begin() + twin.end, sameWord);
 }
 
 void
@@ -258,43 +289,147 @@ DualSim::runSingle(const SwapSchedule &schedule, const StimulusData &data,
  * that trace. Control traces do not depend on taint, so lane 0's gates
  * are exact and nothing is ever re-run.
  *
- * A run whose prefix matches the transient-boundary snapshot resumes
- * from it; any other run starts from reset and, when the schedule has
- * a training prefix, replaces the snapshot.
+ * A run resumes from the latest point it provably shares with an
+ * earlier run: the divergence-point snapshot when its transient packet
+ * differs from the capturing run's only in the twin words, else the
+ * transient-boundary snapshot when its prefix matches. Any other run
+ * starts from reset and, when the schedule has a training prefix,
+ * replaces the boundary snapshot.
  */
 void
 DualSim::runDual(const SwapSchedule &schedule, const StimulusData &data,
-                 const SimOptions &options, DualResult &out)
+                 const SimOptions &options, DualResult &out,
+                 WordRange twin)
 {
     const SimOptions sibling = siblingOptions(options);
     LaneRun l0(lane0_, out.dut0, schedule);
     LaneRun l1(lane1_, out.dut1, schedule);
-    size_t transient = resumePoint(schedule);
-    if (prefix_.resumable(schedule, transient, data, options)) {
-        restoreLane(capture0_, l0, options, transient);
-        restoreLane(capture1_, l1, sibling, transient);
-        // Prefix cycles this resume did not have to re-simulate.
+    const size_t transient = resumePoint(schedule);
+
+    // The twin words are searched for only when the transient packet
+    // is the last one, so it stays in the swap region to the end.
+    DivergenceSearch search;
+    DivergenceSearch *searching = nullptr;
+    if (transient != SIZE_MAX && transient + 1 == schedule.packets.size()) {
+        twin.end = std::min(twin.end,
+                            schedule.packets[transient].instrs.size());
+        if (twin.begin < twin.end) {
+            search.transient = transient;
+            search.begin = swapmem::kSwapBase + 4 * twin.begin;
+            search.end = swapmem::kSwapBase + 4 * twin.end;
+            searching = &search;
+        }
+    }
+
+    const bool resumable =
+        prefix_.resumable(schedule, transient, data, options);
+    // A run that names other twin words searches for its own
+    // divergence point rather than reuse one found for these.
+    const bool diverges =
+        resumable && (searching == nullptr || twin == divergence_.twin) &&
+        divergence_.matches(schedule, transient, options);
+    if (diverges && divergence_.captured) {
+        restoreLane(divergence0_, l0, options);
+        restoreLane(divergence1_, l1, sibling);
+        // Nothing before the snapshot touched the twin words, so this
+        // schedule's own words are all that differs.
+        for (LaneRun *lr : {&l0, &l1}) {
+            if (lr->runtime.cursor() >= transient)
+                swapmem::loadPacketWords(
+                    lr->lane.mem, schedule.packets[transient],
+                    divergence_.twin.begin, divergence_.twin.end);
+        }
         obs::counterAdd(obs::Ctr::FusedLaneCycles,
-                        capture0_.core.cycle() + capture1_.core.cycle());
-        lockstepLoop(l0, l1, options, SIZE_MAX);
+                        divergence0_.core.cycle() +
+                            divergence1_.core.cycle());
+        obs::counterAdd(obs::Ctr::DivergenceResumes);
+        lockstepLoop(l0, l1, options, SIZE_MAX, nullptr);
     } else {
-        startLane(l0, data, options, false);
-        startLane(l1, data, sibling, true);
-        // The captures are overwritten below; a run cut short by the
-        // wall-clock watchdog must leave no key pointing at them.
-        if (transient != SIZE_MAX)
-            prefix_.valid = false;
-        lockstepLoop(l0, l1, options, transient);
-        if (transient != SIZE_MAX)
-            prefix_.assign(schedule, transient, data, options);
+        if (resumable) {
+            if (diverges)
+                obs::counterAdd(obs::Ctr::DivergenceFallbacks);
+            restoreLane(capture0_, l0, options);
+            restoreLane(capture1_, l1, sibling);
+            // A lane whose cursor reached the transient packet holds
+            // the *capturing* schedule's in its swap region, so reload
+            // this schedule's: the same zero-fill + load +
+            // secret-protection sequence the original advance
+            // performed.
+            for (LaneRun *lr : {&l0, &l1}) {
+                if (lr->runtime.cursor() == transient)
+                    lr->runtime.reload(lr->lane.mem);
+            }
+            // Prefix cycles this resume did not have to re-simulate.
+            obs::counterAdd(obs::Ctr::FusedLaneCycles,
+                            capture0_.core.cycle() +
+                                capture1_.core.cycle());
+            // The divergence captures are overwritten below; a run cut
+            // short by the wall-clock watchdog must leave no key at
+            // them.
+            if (searching != nullptr)
+                divergence_.valid = false;
+            lockstepLoop(l0, l1, options, SIZE_MAX, searching);
+        } else {
+            startLane(l0, data, options, false);
+            startLane(l1, data, sibling, true);
+            // Both keys describe captures this run overwrites or a
+            // prefix it replaces.
+            if (transient != SIZE_MAX) {
+                prefix_.valid = false;
+                divergence_.valid = false;
+            }
+            lockstepLoop(l0, l1, options, transient, searching);
+            if (transient != SIZE_MAX)
+                prefix_.assign(schedule, transient, data, options);
+        }
+        if (searching != nullptr) {
+            divergence_.transient = schedule.packets[transient].instrs;
+            divergence_.twin = twin;
+            divergence_.options = options;
+            divergence_.captured = search.captured;
+            divergence_.valid = true;
+        }
     }
     simulations_ += 2;
     obs::counterAdd(obs::Ctr::Simulations, 2);
 }
 
 void
+DualSim::searchDivergence(LaneRun &l0, LaneRun &l1,
+                          DivergenceSearch &search)
+{
+    const uint64_t group = 4ULL * cfg_.fetch_width;
+    bool near = false;
+    bool touched = false;
+    for (LaneRun *lr : {&l0, &l1}) {
+        // A lane still training holds a training packet where the twin
+        // words go, so nothing it does can read them.
+        if (lr->runtime.cursor() < search.transient)
+            continue;
+        if (!lr->watched) {
+            lr->lane.mem.watch(search.begin, search.end);
+            lr->watched = true;
+        }
+        touched |= lr->lane.mem.watchHit();
+        const uint64_t pc = lr->lane.core.pc.v;
+        near |= !lr->done && pc < search.end && pc + group > search.begin;
+    }
+    if (!near)
+        return;
+    // This cycle's fetch group may reach a twin word: the point to
+    // snapshot, provided no earlier cycle touched one.
+    search.pending = false;
+    if (touched)
+        return;
+    captureLane(divergence0_, l0);
+    captureLane(divergence1_, l1);
+    search.captured = true;
+    obs::counterAdd(obs::Ctr::DivergenceCaptures);
+}
+
+void
 DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
-                      size_t capture_at)
+                      size_t capture_at, DivergenceSearch *search)
 {
     const SimOptions sibling = siblingOptions(options);
     bool captured = false;
@@ -303,8 +438,13 @@ DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
         captureLane(capture1_, l1);
         captured = true;
     };
+    auto divergence = [&]() {
+        if (search != nullptr && search->pending)
+            searchDivergence(l0, l1, *search);
+    };
 
     while (!l0.done && !l1.done) {
+        divergence();
         sibling_trace_.clear();
         laneTick(l1, sibling, &sibling_trace_, nullptr);
         laneTick(l0, options, nullptr, &sibling_trace_);
@@ -328,10 +468,14 @@ DualSim::lockstepLoop(LaneRun &l0, LaneRun &l1, const SimOptions &options,
     // Solo tails: one instance outlived the other. Both lanes stop at
     // the same cycle, so lane 0 is past the sibling's last recorded
     // cycle: an empty view, every DiffIFT gate open.
-    while (!l0.done)
+    while (!l0.done) {
+        divergence();
         laneTick(l0, options, nullptr, &kEmptyTrace);
-    while (!l1.done)
+    }
+    while (!l1.done) {
+        divergence();
         laneTick(l1, sibling, nullptr, nullptr);
+    }
 
     if (l0.started)
         finishLane(l0, options);
@@ -343,7 +487,7 @@ void
 DualSim::captureLane(LaneCapture &cap, const LaneRun &lr)
 {
     cap.core = lr.lane.core;
-    cap.mem.copyFrom(lr.lane.mem);
+    lr.lane.mem.save(cap.mem);
     cap.result = lr.result;
     cap.packet_cycles = lr.packet_cycles;
     cap.cursor = lr.runtime.cursor();
@@ -352,10 +496,10 @@ DualSim::captureLane(LaneCapture &cap, const LaneRun &lr)
 
 void
 DualSim::restoreLane(const LaneCapture &cap, LaneRun &lr,
-                     const SimOptions &options, size_t transient_index)
+                     const SimOptions &options)
 {
     lr.lane.core = cap.core;
-    lr.lane.mem.copyFrom(cap.mem);
+    lr.lane.mem.restore(cap.mem);
     lr.result = cap.result;
     // The capturing run may have logged taint where this one does
     // not; a run without taint logging must look like a run that
@@ -367,12 +511,6 @@ DualSim::restoreLane(const LaneCapture &cap, LaneRun &lr,
     lr.taint_transitions_base = cap.core.taintTransitions();
     lr.started = true;
     lr.done = cap.done;
-    // A lane whose cursor reached the transient packet holds the
-    // *capturing* schedule's in its swap region, so reload this
-    // schedule's — the same zero-fill + load + secret-protection
-    // sequence the original advance performed.
-    if (cap.cursor == transient_index)
-        lr.runtime.reload(lr.lane.mem);
 }
 
 DualResult

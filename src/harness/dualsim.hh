@@ -40,10 +40,28 @@
  * depends on. The next runDual whose prefix compares equal —
  * a Phase-2 mutation of the same seed, or its Phase-3 sanitized twin
  * — restores the snapshot, reloads the swap region with its own
- * transient packet and runs only the suffix. The result is
- * bit-identical to a run from reset (CI-enforced), so callers never
- * see the difference; simulation counts stay logical (runDual = 2,
- * runSingle = 1).
+ * transient packet and runs only the suffix.
+ *
+ * **Divergence-point resume.** A run can also name the words of its
+ * transient packet that a later *twin* run rewrites (Phase 2 names its
+ * encode block, which Phase 3 replaces by NOPs). Until a lane that
+ * holds the transient packet first touches one of those words, the
+ * twin repeats the run cycle for cycle. So, past the boundary, the run
+ * watches the words in each lane that holds the transient packet
+ * (Memory::watch: every fetch, load, refill, store and byte read), and
+ * snapshots both lanes again at the start of the first cycle in which
+ * such a lane's fetch PC is within one fetch group of them. The
+ * snapshot is kept only if no watched lane has touched a word by then.
+ * A later run whose prefix matches, whose transient packet differs
+ * from the capturing run's only inside those words, and that names no
+ * other words restores this later snapshot, stores its own words there
+ * and runs from that cycle on; such a run whose snapshot was not kept
+ * falls back to the boundary. Both captures store only the lanes'
+ * dirty memory pages.
+ *
+ * Either resume is bit-identical to a run from reset (CI-enforced), so
+ * callers never see the difference; simulation counts stay logical
+ * (runDual = 2, runSingle = 1).
  */
 
 #ifndef DEJAVUZZ_HARNESS_DUALSIM_HH
@@ -75,6 +93,18 @@ struct SimOptions
     bool state_hash = false;
     uint64_t packet_cycle_budget = 1500;
     uint64_t total_cycle_budget = 20000;
+};
+
+/**
+ * Instruction-index range [begin, end) of a schedule's transient
+ * packet; empty by default.
+ */
+struct WordRange
+{
+    size_t begin = 0;
+    size_t end = 0;
+
+    bool operator==(const WordRange &) const = default;
 };
 
 /** Result of one DUT instance's run. */
@@ -147,11 +177,13 @@ class DualSim
 
     /**
      * Full differential run (both instances). Writes into @p out,
-     * reusing its buffers: the hot path for the phase drivers.
+     * reusing its buffers: the hot path for the phase drivers. @p twin
+     * names the transient-packet words a later twin run rewrites (the
+     * divergence-point resume); it never changes this run's result.
      */
     void runDual(const swapmem::SwapSchedule &schedule,
                  const StimulusData &data, const SimOptions &options,
-                 DualResult &out);
+                 DualResult &out, WordRange twin = {});
 
     /** By-value convenience wrapper around the pooled overload. */
     DualResult runDual(const swapmem::SwapSchedule &schedule,
@@ -196,12 +228,14 @@ class DualSim
         uint64_t taint_transitions_base = 0;
         bool started = false; ///< false: schedule was empty at start
         bool done = false;
+        bool watched = false; ///< its memory watches the twin words
     };
 
     /**
-     * Snapshot of one lane at the transient boundary (so the lane has
-     * started: a packet precedes the transient one). Pooled: the Core
-     * and Memory copies reuse their storage across runs.
+     * Snapshot of one lane at the transient boundary or the divergence
+     * point (so the lane has started: a packet precedes the transient
+     * one). Pooled: the Core copy and the memory snapshot reuse their
+     * storage across runs.
      */
     struct LaneCapture
     {
@@ -209,7 +243,7 @@ class DualSim
             : core(config)
         {}
         uarch::Core core;
-        swapmem::Memory mem;
+        swapmem::Memory::Snapshot mem;
         DutResult result;
         uint64_t packet_cycles = 0;
         size_t cursor = 0;
@@ -241,6 +275,36 @@ class DualSim
                        const SimOptions &options_in) const;
     };
 
+    /**
+     * What the divergence-point captures were taken on, on top of the
+     * prefix: the capturing run's transient packet, the twin words and
+     * the options. Pooled like PrefixKey.
+     */
+    struct DivergenceKey
+    {
+        std::vector<isa::Instr> transient;
+        WordRange twin;
+        SimOptions options;
+        bool valid = false;    ///< a run on the current prefix set it
+        bool captured = false; ///< the divergence captures hold it
+
+        /** Does @p schedule's transient packet differ from the key's
+         *  only inside the twin words, under options that allow it? */
+        bool matches(const swapmem::SwapSchedule &schedule,
+                     size_t transient_in,
+                     const SimOptions &options_in) const;
+    };
+
+    /** One run's search for its divergence point. */
+    struct DivergenceSearch
+    {
+        size_t transient = 0;   ///< index of the transient packet
+        uint64_t begin = 0;     ///< watched bytes [begin, end)
+        uint64_t end = 0;
+        bool pending = true;    ///< the capture cycle is still ahead
+        bool captured = false;  ///< the divergence captures are valid
+    };
+
     void startLane(LaneRun &lr, const StimulusData &data,
                    const SimOptions &options, bool flipped_secret);
     void laneTick(LaneRun &lr, const SimOptions &options,
@@ -250,14 +314,19 @@ class DualSim
     /**
      * The lockstep main loop, solo tails and lane finish, shared by
      * runs from reset and resumed runs. Snapshots both lanes when a
-     * swap cursor first reaches packet @p capture_at (SIZE_MAX: never).
+     * swap cursor first reaches packet @p capture_at (SIZE_MAX: never),
+     * and at the divergence point when @p search is given.
      */
     void lockstepLoop(LaneRun &l0, LaneRun &l1,
-                      const SimOptions &options, size_t capture_at);
+                      const SimOptions &options, size_t capture_at,
+                      DivergenceSearch *search);
+    /** Start-of-cycle step of the divergence search. */
+    void searchDivergence(LaneRun &l0, LaneRun &l1,
+                          DivergenceSearch &search);
 
     void captureLane(LaneCapture &cap, const LaneRun &lr);
     void restoreLane(const LaneCapture &cap, LaneRun &lr,
-                     const SimOptions &options, size_t transient_index);
+                     const SimOptions &options);
 
     void buildMemory(swapmem::Memory &mem, const StimulusData &data,
                      const SimOptions &options, bool flipped_secret) const;
@@ -273,6 +342,10 @@ class DualSim
     LaneCapture capture0_;
     LaneCapture capture1_;
     PrefixKey prefix_;
+    /** Divergence-point snapshots (lane 0 / lane 1) and their key. */
+    LaneCapture divergence0_;
+    LaneCapture divergence1_;
+    DivergenceKey divergence_;
     uint64_t simulations_ = 0;
 };
 

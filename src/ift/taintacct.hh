@@ -68,9 +68,10 @@ struct TaintContrib
 /**
  * Running taint population of one structure.  regs/bits are exact
  * sums over the structure's current entries (per the invariants
- * above); transitions counts the wrapped mutations that actually
- * changed a contribution — the telemetry counter behind
- * obs::Ctr::TaintTransitions.
+ * above); transitions counts the updates that actually changed the
+ * sums — the telemetry counter behind obs::Ctr::TaintTransitions.
+ * Every change of regs or bits bumps it, so an unchanged count
+ * proves unchanged sums: the change-only taint log relies on that.
  */
 struct TaintAcct
 {
@@ -93,20 +94,16 @@ struct TaintAcct
         ++transitions;
     }
 
-    /** Add a freshly counted entry (bulk recompute paths). */
-    void
-    add(const TaintContrib &c)
-    {
-        regs += c.regs;
-        bits += c.bits;
-    }
-
-    /** Zero the sums, keeping the lifetime transition count. */
+    /** Zero the sums (a structure flush); a change when they were
+     *  not zero. */
     void
     zero()
     {
+        if (regs == 0 && bits == 0)
+            return;
         regs = 0;
         bits = 0;
+        ++transitions;
     }
 
     /** Full reset (structure reset / reuse across runs). */

@@ -123,8 +123,13 @@ void
 ProgBuilder::padTo(uint64_t addr)
 {
     dv_assert(addr >= here() && (addr & 3) == 0);
-    while (here() < addr)
-        nop();
+    if (addr == here())
+        return;
+    // One bulk append of the NOP run nop() would emit word by word.
+    dv_assert(!finished_);
+    Instr nop;
+    nop.op = Op::ADDI;
+    instrs_.resize(instrs_.size() + (addr - here()) / 4, nop);
 }
 
 const std::vector<Instr> &

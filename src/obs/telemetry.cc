@@ -27,6 +27,9 @@ ctrName(Ctr c)
       case Ctr::TaintTransitions: return "taint_transitions";
       case Ctr::TaintRescanChecks: return "taint_rescan_checks";
       case Ctr::FusedLaneCycles: return "fused_lane_cycles";
+      case Ctr::DivergenceCaptures: return "divergence_captures";
+      case Ctr::DivergenceResumes: return "divergence_resumes";
+      case Ctr::DivergenceFallbacks: return "divergence_fallbacks";
       case Ctr::BatchRetries: return "batch_retries";
       case Ctr::BatchDeadlineKills: return "batch_deadline_kills";
       case Ctr::QuarantinedSeeds: return "quarantined_seeds";

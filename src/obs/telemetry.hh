@@ -50,6 +50,11 @@ enum class Ctr : uint8_t {
     TaintTransitions,  ///< taint-account contribution changes applied
     TaintRescanChecks, ///< incremental-vs-rescan cross-checks run
     FusedLaneCycles,   ///< prefix cycles skipped by runDual resumes
+    DivergenceCaptures,  ///< divergence-point snapshots kept
+    DivergenceResumes,   ///< runDuals resumed at the divergence point
+    /** runDuals whose twin words matched but whose divergence-point
+     *  snapshot was not kept, so they resumed at the boundary. */
+    DivergenceFallbacks,
     BatchRetries,      ///< failed/timed-out batches re-executed
     BatchDeadlineKills,    ///< batches cut off by the wall deadline
     QuarantinedSeeds,      ///< seeds moved to quarantine.jsonl

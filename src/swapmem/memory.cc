@@ -29,34 +29,52 @@ Memory::reset()
     }
     dirty_pages_ = 0;
     flags_ = Flags{};
+    watch(0, 0);
 }
 
 void
-Memory::copyFrom(const Memory &other)
+Memory::save(Snapshot &out) const
 {
-    uint64_t stale = dirty_pages_ & ~other.dirty_pages_;
-    while (stale != 0) {
-        unsigned page = static_cast<unsigned>(std::countr_zero(stale));
-        stale &= stale - 1;
-        uint64_t base = static_cast<uint64_t>(page) * kPageBytes;
+    out.pages_ = dirty_pages_;
+    out.flags_ = flags_;
+    out.bytes_.resize(2 * kPageBytes *
+                      static_cast<size_t>(std::popcount(dirty_pages_)));
+    uint8_t *dst = out.bytes_.data();
+    for (uint64_t live = dirty_pages_; live != 0; live &= live - 1) {
+        uint64_t base =
+            static_cast<uint64_t>(std::countr_zero(live)) * kPageBytes;
+        std::memcpy(dst, &data_[base], kPageBytes);
+        std::memcpy(dst + kPageBytes, &taint_[base], kPageBytes);
+        dst += 2 * kPageBytes;
+    }
+}
+
+void
+Memory::restore(const Snapshot &snap)
+{
+    for (uint64_t stale = dirty_pages_ & ~snap.pages_; stale != 0;
+         stale &= stale - 1) {
+        uint64_t base =
+            static_cast<uint64_t>(std::countr_zero(stale)) * kPageBytes;
         std::memset(&data_[base], 0, kPageBytes);
         std::memset(&taint_[base], 0, kPageBytes);
     }
-    uint64_t live = other.dirty_pages_;
-    while (live != 0) {
-        unsigned page = static_cast<unsigned>(std::countr_zero(live));
-        live &= live - 1;
-        uint64_t base = static_cast<uint64_t>(page) * kPageBytes;
-        std::memcpy(&data_[base], &other.data_[base], kPageBytes);
-        std::memcpy(&taint_[base], &other.taint_[base], kPageBytes);
+    const uint8_t *src = snap.bytes_.data();
+    for (uint64_t live = snap.pages_; live != 0; live &= live - 1) {
+        uint64_t base =
+            static_cast<uint64_t>(std::countr_zero(live)) * kPageBytes;
+        std::memcpy(&data_[base], src, kPageBytes);
+        std::memcpy(&taint_[base], src + kPageBytes, kPageBytes);
+        src += 2 * kPageBytes;
     }
-    dirty_pages_ = other.dirty_pages_;
-    flags_ = other.flags_;
+    dirty_pages_ = snap.pages_;
+    flags_ = snap.flags_;
 }
 
 uint8_t
 Memory::byte(uint64_t addr) const
 {
+    noteAccess(addr, 1);
     return addr < kMemBytes ? data_[addr] : 0;
 }
 
@@ -176,6 +194,7 @@ orBlock64(const uint8_t *p)
 TV
 Memory::read(uint64_t addr, unsigned bytes) const
 {
+    noteAccess(addr, bytes);
     if (inImage(addr, bytes)) {
         // Taint bytes are 0/1, so * 0xff widens them to the TV mask.
         return TV{loadLE(&data_[addr], bytes),
@@ -197,6 +216,7 @@ Memory::read(uint64_t addr, unsigned bytes) const
 void
 Memory::write(uint64_t addr, unsigned bytes, TV tv)
 {
+    noteAccess(addr, bytes);
     if (!inImage(addr, bytes)) {
         // Past or across the image end: those bytes are dropped.
         for (unsigned i = 0; i < bytes; ++i) {
@@ -223,6 +243,7 @@ Memory::write(uint64_t addr, unsigned bytes, TV tv)
 uint32_t
 Memory::fetchWord(uint64_t addr) const
 {
+    noteAccess(addr, 4);
     if (inImage(addr, 4))
         return static_cast<uint32_t>(loadLE(&data_[addr], 4));
     uint32_t word = 0;

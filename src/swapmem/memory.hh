@@ -5,8 +5,8 @@
  *
  * Each DUT instance owns one Memory (the dedicated region differs
  * between instances; everything else is identical). Writes mark the
- * pages they dirty, so resetting or copying an image costs in
- * proportion to what a run wrote, not to the image size.
+ * pages they dirty, so resetting, saving or restoring an image costs
+ * in proportion to what a run wrote, not to the image size.
  */
 
 #ifndef DEJAVUZZ_SWAPMEM_MEMORY_HH
@@ -34,7 +34,32 @@ enum class AccessKind : uint8_t { Load, Store, Fetch };
 
 class Memory
 {
+    /** State outside the byte image: packet loads flip the
+     *  protection and the swap; installSecret sets the secret's taint. */
+    struct Flags
+    {
+        SecretProt secret_prot = SecretProt::Open;
+        bool victim_supervisor = false;
+        bool secret_swapped = false;
+        bool secret_tainted = false;
+    };
+
   public:
+    /**
+     * What sets an image apart from the pristine one: its dirty pages
+     * (data and taint) and its flags. A snapshot holds only that, not
+     * a second image, and reuses its storage across saves.
+     */
+    class Snapshot
+    {
+        friend class Memory;
+        uint64_t pages_ = 0;          ///< the dirty-page mask
+        Flags flags_;
+        /** Each dirty page in ascending order: its data, then its
+         *  taint. */
+        std::vector<uint8_t> bytes_;
+    };
+
     Memory();
 
     /**
@@ -46,13 +71,31 @@ class Memory
      */
     void reset();
 
+    /** Store this image's dirty pages and flags into @p out. */
+    void save(Snapshot &out) const;
     /**
-     * Make this Memory bit-identical to @p other, reusing the
-     * allocation. Cost is proportional to the union of the two dirty
-     * footprints, not the image size: pages dirty here but clean in
-     * @p other are zeroed; pages dirty in @p other are copied.
+     * Make this Memory bit-identical to the one @p snap was saved
+     * from, reusing the allocation. Cost is proportional to the union
+     * of the two dirty footprints, not the image size: pages dirty
+     * here but clean in @p snap are zeroed; pages in @p snap are
+     * copied. The watch is left as it is.
      */
-    void copyFrom(const Memory &other);
+    void restore(const Snapshot &snap);
+
+    /**
+     * Watch the bytes [@p begin, @p end): any byte(), read(), write()
+     * or fetchWord() that touches one sets watchHit(). Arming clears
+     * the hit. The watch is not part of the image: reset() disarms it,
+     * and save() and restore() neither record nor change it.
+     */
+    void
+    watch(uint64_t begin, uint64_t end)
+    {
+        watch_begin_ = begin;
+        watch_end_ = end;
+        watch_hit_ = false;
+    }
+    bool watchHit() const { return watch_hit_; }
 
     // --- raw byte access (no permission checks) ------------------------
     // Bytes outside the image read as clean zeros; stores to them are
@@ -122,23 +165,27 @@ class Memory
     bool inRange(uint64_t addr) const { return addr < kMemBytes; }
 
   private:
+    /** Record an access to [@p addr, @p addr + @p bytes) against the
+     *  watch (an unarmed watch is the empty range). */
+    void
+    noteAccess(uint64_t addr, uint64_t bytes) const
+    {
+        if (addr < watch_end_ && addr + bytes > watch_begin_)
+            watch_hit_ = true;
+    }
+
     std::vector<uint8_t> data_;
     std::vector<uint8_t> taint_;
-    /** State outside the byte image: packet loads flip the
-     *  protection and the swap; installSecret sets the secret's taint. */
-    struct Flags
-    {
-        SecretProt secret_prot = SecretProt::Open;
-        bool victim_supervisor = false;
-        bool secret_swapped = false;
-        bool secret_tainted = false;
-    };
-
     Flags flags_;
     /** One bit per page with any write since the last reset. */
     uint64_t dirty_pages_ = 0;
     static_assert(kMemBytes / kPageBytes <= 64,
                   "dirty-page mask is a single 64-bit word");
+    uint64_t watch_begin_ = 0;
+    uint64_t watch_end_ = 0;
+    /** Set by const accessors too: the watch observes, it is not
+     *  image state. */
+    mutable bool watch_hit_ = false;
 };
 
 } // namespace dejavuzz::swapmem

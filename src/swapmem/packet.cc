@@ -1,5 +1,7 @@
 #include "swapmem/packet.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace dejavuzz::swapmem {
@@ -101,20 +103,30 @@ SwapRuntime::advance(Memory &mem)
 }
 
 void
+loadPacketWords(Memory &mem, const SwapPacket &packet, size_t begin,
+                size_t end)
+{
+    end = std::min(end, packet.instrs.size());
+    if (begin >= end)
+        return;
+    // Encode into a stack buffer and store it in one block.
+    uint32_t words[kSwapSize / 4];
+    dv_assert(end - begin <= kSwapSize / 4);
+    for (size_t i = begin; i < end; ++i)
+        words[i - begin] = isa::encode(packet.instrs[i]);
+    mem.loadBlock(kSwapBase + 4 * begin, words, end - begin);
+}
+
+void
 SwapRuntime::loadCurrent(Memory &mem)
 {
     const SwapPacket &packet = current();
     dv_assert(packet.instrs.size() * 4 <= kSwapSize);
-    // Encode into a stack buffer, load it into the swappable region in
-    // one block, then clear whatever is left past the packet (the
-    // previous packet's tail and any U-mode stores). Unchanged bytes
-    // are not stored at all.
-    uint32_t words[kSwapSize / 4];
-    size_t count = 0;
-    for (const auto &instr : packet.instrs)
-        words[count++] = isa::encode(instr);
-    mem.loadBlock(kSwapBase, words, count);
-    const uint64_t end = kSwapBase + 4 * count;
+    // Load the packet into the swappable region in one block, then
+    // clear whatever is left past it (the previous packet's tail and
+    // any U-mode stores). Unchanged bytes are not stored at all.
+    loadPacketWords(mem, packet, 0, packet.instrs.size());
+    const uint64_t end = kSwapBase + 4 * packet.instrs.size();
     mem.zeroRange(end, kSwapBase + kSwapSize - end);
 
     // Update the secret's protection when entering the transient

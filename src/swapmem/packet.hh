@@ -83,6 +83,14 @@ struct SwapSchedule
 };
 
 /**
+ * Store instructions [@p begin, @p end) of @p packet (clamped to its
+ * length) where loading the packet places them, exactly as the load
+ * stores them: untainted, unchanged words skipped.
+ */
+void loadPacketWords(Memory &mem, const SwapPacket &packet, size_t begin,
+                     size_t end);
+
+/**
  * The swap runtime: the pre-silicon analogue of the paper's ~500 LoC
  * DPI-C firmware. Owns the schedule cursor for one DUT instance and
  * performs packet loads into the swappable region.

@@ -77,6 +77,31 @@ const LqEntry kEmptyLqEntry{};
 const SqEntry kEmptySqEntry{};
 const FetchSlot kEmptyFetchSlot{};
 
+/**
+ * isa::decode of a fetched word through a per-thread direct-mapped
+ * memo keyed by the raw word: exact, because decode is a pure
+ * function of the word. Per thread rather than per Core, so the
+ * harness's captures and restores never copy it.
+ */
+const isa::Instr &
+decodeFetched(uint32_t word)
+{
+    struct Entry
+    {
+        bool valid = false;
+        uint32_t word = 0;
+        isa::Instr instr;
+    };
+    static thread_local std::array<Entry, 512> memo{};
+    Entry &entry = memo[(word * 0x9e3779b1u) >> 23];
+    if (!entry.valid || entry.word != word) {
+        entry.valid = true;
+        entry.word = word;
+        entry.instr = isa::decode(word);
+    }
+    return entry.instr;
+}
+
 /** Bulk adoption after a wholesale recompute (RoB-rollback taint). */
 void
 adoptBulk(ift::TaintAcct &acct, uint32_t regs, uint64_t bits)
@@ -1336,11 +1361,11 @@ Core::phaseFetch(Memory &mem, ift::TaintCtx &ctx)
         fetchq_taint_slots_ += slot.pc_taint ? 1u : 0u;
         if (exc != ExcCause::None) {
             slot.fetch_exc = exc;
-            slot.instr = isa::decode(isa::kNopWord);
+            slot.instr = decodeFetched(isa::kNopWord);
             return; // fetch stalls behind a faulting fetch
         }
 
-        slot.instr = isa::decode(mem.fetchWord(pc.v));
+        slot.instr = decodeFetched(mem.fetchWord(pc.v));
         predictAtFetch(slot, ctx);
 
         if (slot.pred_taken) {
@@ -1643,8 +1668,46 @@ Core::taintTransitions() const
 void
 Core::appendTaintLog(ift::TaintLog &log) const
 {
+#ifndef NDEBUG
+    // Debug builds cross-check the incremental accounts every logged
+    // cycle; release builds rely on the explicit property test.
+    dv_assert(verifyTaintAccounts());
+#endif
+    log.last_cycle = cycle_;
+    // Everything moduleTaintStats reads: the accounts, whose summed
+    // transition count moves on every change of their sums, and the
+    // scalars outside them. The last record holds while none moved.
+    const std::array<uint64_t, 6> key = {
+        taintTransitions(),
+        pc.t,
+        fetchq_taint_slots_ | uint64_t{rename_taint_regs_} << 32,
+        rob_tail_taint_.t,
+        fdiv_latch.t,
+        trap_taint_.t};
+    if (!log.cycles.empty() && key == log.key)
+        return;
+    log.key = key;
     std::array<ModuleStat, kModCount> stats;
     moduleTaintStats(stats);
+    if (!log.cycles.empty()) {
+        // Changes can cancel within a cycle: the last record still
+        // holds if every module's sample equals it (its samples list
+        // the tainted modules in id order).
+        const ift::TaintLogCycle &last = log.cycles.back();
+        const ift::ModuleTaintSample *sample = log.samplesBegin(last);
+        const ift::ModuleTaintSample *end = log.samplesEnd(last);
+        bool same = true;
+        for (unsigned m = 0; m < kModCount && same; ++m) {
+            if (stats[m].tainted_regs == 0 && stats[m].taint_bits == 0)
+                continue;
+            same = sample != end && sample->module_id == m &&
+                   sample->tainted_regs == stats[m].tainted_regs &&
+                   sample->taint_bits == stats[m].taint_bits;
+            ++sample;
+        }
+        if (same && sample == end)
+            return;
+    }
     ift::TaintLogCycle &rec = log.beginCycle(cycle_);
     for (unsigned m = 0; m < kModCount; ++m) {
         if (stats[m].tainted_regs == 0 && stats[m].taint_bits == 0)
@@ -1654,11 +1717,6 @@ Core::appendTaintLog(ift::TaintLog &log) const
                                stats[m].tainted_regs,
                                stats[m].taint_bits});
     }
-#ifndef NDEBUG
-    // Debug builds cross-check the incremental accounts every logged
-    // cycle; release builds rely on the explicit property test.
-    dv_assert(verifyTaintAccounts());
-#endif
 }
 
 std::array<uint16_t, kModCount>

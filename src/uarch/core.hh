@@ -222,7 +222,13 @@ class Core
     /** Lifetime taint-contribution transitions across all accounts. */
     uint64_t taintTransitions() const;
 
-    /** Append one taint-log cycle record. */
+    /**
+     * Log this cycle's module taint into the change log @p log: a new
+     * record only when the sample differs from the last record's,
+     * else the last record just extends to this cycle. A cycle on
+     * which no account and no scalar that moduleTaintStats reads has
+     * changed does not even assemble the sample.
+     */
     void appendTaintLog(ift::TaintLog &log) const;
 
     /** Register this core's modules with a coverage matrix. */

@@ -92,8 +92,10 @@ TEST(SecretSwap, ResetAndCopyCarryFlags)
     Memory a;
     a.setVictimSupervisor(true);
     a.applySecretSwap();
+    Memory::Snapshot snap;
+    a.save(snap);
     Memory b;
-    b.copyFrom(a);
+    b.restore(snap);
     EXPECT_TRUE(b.victimSupervisor());
     EXPECT_TRUE(b.secretSwapped());
     b.reset();

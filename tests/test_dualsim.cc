@@ -15,15 +15,20 @@
  * inputs check that diffIFT's whole-core taint stays inside CellIFT's.
  * A run
  * that resumes from the transient-boundary snapshot (a Phase-2
- * mutation, the Phase-3 sanitized twin) must be bit-identical to a run
- * from reset, whatever ran before it. And because DualSim pools its
- * cores/memories/result buffers, a reused instance must be
- * bit-identical to a freshly constructed one.
+ * mutation, the Phase-3 sanitized twin) or from the divergence-point
+ * snapshot (the twin of a run that named its rewritten words) must be
+ * bit-identical to a run from reset, whatever ran before it; a twin
+ * whose words were touched before the divergence point must fall
+ * back to the boundary. The change-only taint log must hold, at every
+ * cycle, exactly the module taint the core reports for that cycle.
+ * And because DualSim pools its cores/memories/result buffers, a
+ * reused instance must be bit-identical to a freshly constructed one.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -31,6 +36,7 @@
 #include "core/phases.hh"
 #include "core/stimgen.hh"
 #include "harness/dualsim.hh"
+#include "isa/builder.hh"
 #include "obs/telemetry.hh"
 #include "swapmem/packet.hh"
 #include "uarch/config.hh"
@@ -119,7 +125,10 @@ expectDutEqual(const DutResult &a, const DutResult &b, bool hashed,
     SCOPED_TRACE(what);
     expectValueEqual(a, b, hashed);
 
-    // Taint log — the bit-exact diffIFT shadow state per cycle.
+    // Taint log — the bit-exact diffIFT shadow state per cycle. Both
+    // are change logs of the same per-cycle values, so their records
+    // match one for one.
+    EXPECT_EQ(a.taint_log.last_cycle, b.taint_log.last_cycle);
     ASSERT_EQ(a.taint_log.cycles.size(), b.taint_log.cycles.size());
     for (size_t i = 0; i < a.taint_log.cycles.size(); ++i) {
         const auto &ca = a.taint_log.cycles[i];
@@ -184,14 +193,17 @@ using Traces = std::vector<ift::ControlTrace>;
  * @p sibling's trace for the same cycle when given (DiffIFT needs
  * one). Past the sibling's last cycle the view is empty (structural
  * divergence => gates open). @p tainted_secret says whether the
- * secret is a taint source.
+ * secret is a taint source. @p after_cycle, when given, sees the core
+ * and the result after each cycle's taint-log append.
  */
 void
 runLane(const uarch::CoreConfig &cfg,
         const swapmem::SwapSchedule &schedule,
         const harness::StimulusData &data, const SimOptions &options,
         bool flipped_secret, bool tainted_secret, Traces *record,
-        const Traces *sibling, DutResult &out)
+        const Traces *sibling, DutResult &out,
+        const std::function<void(const uarch::Core &, const DutResult &)>
+            &after_cycle = {})
 {
     static const ift::ControlTrace kEmpty;
     out = DutResult{};
@@ -226,6 +238,8 @@ runLane(const uarch::CoreConfig &cfg,
         uarch::TickEvents ev = core.tick(mem, ctx, &out.trace);
         if (options.taint_log)
             core.appendTaintLog(out.taint_log);
+        if (after_cycle)
+            after_cycle(core, out);
         bool force_advance = ++packet_cycles >= options.packet_cycle_budget;
         if (force_advance)
             out.budget_exceeded = true;
@@ -276,6 +290,17 @@ twoPassOracle(const uarch::CoreConfig &cfg,
     runLane(cfg, schedule, data, options, false,
             options.mode != ift::IftMode::Off, nullptr, &traces1,
             out.dut0);
+    return out;
+}
+
+/** The taint-log record in effect at each logged cycle, in order. */
+std::vector<const ift::TaintLogCycle *>
+perCycle(const ift::TaintLog &log)
+{
+    std::vector<const ift::TaintLogCycle *> out;
+    log.inEffect(0, UINT64_MAX,
+                 [&](const ift::TaintLogCycle &rec, uint64_t from,
+                     uint64_t to) { out.insert(out.end(), to - from, &rec); });
     return out;
 }
 
@@ -502,13 +527,18 @@ TEST(DiffIFTContainment, WholeCoreTaintWithinCellIFT)
                         << "sink " << d.label() << " entry " << e;
                 }
             }
-            ASSERT_EQ(diff.taint_log.cycles.size(),
-                      cell.taint_log.cycles.size());
-            for (size_t i = 0; i < diff.taint_log.cycles.size(); ++i) {
-                const auto &d = diff.taint_log.cycles[i];
-                const auto &c = cell.taint_log.cycles[i];
-                ASSERT_EQ(d.cycle, c.cycle);
-                EXPECT_LE(d.taintSum(), c.taintSum()) << "cycle " << d.cycle;
+            ASSERT_FALSE(diff.taint_log.cycles.empty());
+            ASSERT_EQ(diff.taint_log.cycles.front().cycle,
+                      cell.taint_log.cycles.front().cycle);
+            const auto diff_cycles = perCycle(diff.taint_log);
+            const auto cell_cycles = perCycle(cell.taint_log);
+            ASSERT_EQ(diff_cycles.size(), cell_cycles.size());
+            const uint64_t first = diff.taint_log.cycles.front().cycle;
+            for (size_t i = 0; i < diff_cycles.size(); ++i) {
+                const auto &d = *diff_cycles[i];
+                const auto &c = *cell_cycles[i];
+                const uint64_t cycle = first + i;
+                EXPECT_LE(d.taintSum(), c.taintSum()) << "cycle " << cycle;
                 // Samples list the tainted modules in id order; each
                 // module diffIFT taints, CellIFT taints at least as much.
                 const auto *sc = cell.taint_log.samplesBegin(c);
@@ -519,10 +549,10 @@ TEST(DiffIFTContainment, WholeCoreTaintWithinCellIFT)
                         ++sc;
                     ASSERT_TRUE(sc != sc_end &&
                                 sc->module_id == sd->module_id)
-                        << "cycle " << d.cycle << " module "
+                        << "cycle " << cycle << " module "
                         << sd->module_id << " untainted under CellIFT";
                     EXPECT_LE(sd->taint_bits, sc->taint_bits)
-                        << "cycle " << d.cycle << " module "
+                        << "cycle " << cycle << " module "
                         << sd->module_id;
                 }
             }
@@ -650,6 +680,362 @@ TEST(DualSimEquivalence, FusionOnOffIsIdentityThroughPhase3)
     EXPECT_GT(resumed, 0u);
 }
 
+TEST(TaintChangeLog, ValueInEffectMatchesModuleStatsEveryCycle)
+{
+    // The change log appends a record only where the module sample
+    // changed. Its value in effect at every cycle must still be the
+    // core's moduleTaintStats for that cycle, and no record may repeat
+    // the one before it (the log is the minimal one).
+    for (const auto &cfg : kConfigs) {
+        SCOPED_TRACE(cfg.name);
+        for (const auto &input : sharedInputs(cfg)) {
+            SCOPED_TRACE(input.name);
+            SimOptions sibling;
+            Traces traces;
+            DutResult sibling_run;
+            runLane(cfg, input.schedule, input.data, sibling, true, false,
+                    &traces, nullptr, sibling_run);
+            for (auto mode : {ift::IftMode::DiffIFT, ift::IftMode::CellIFT,
+                              ift::IftMode::DiffIFTFN, ift::IftMode::Off}) {
+                SCOPED_TRACE(ift::iftModeName(mode));
+                const SimOptions options = fullOptions(mode);
+                uint64_t checked = 0;
+                auto check = [&](const uarch::Core &core,
+                                 const DutResult &run) {
+                    std::array<uarch::ModuleStat, uarch::kModCount> stats;
+                    core.moduleTaintStats(stats);
+                    const ift::TaintLog &log = run.taint_log;
+                    unsigned visits = 0;
+                    log.inEffect(
+                        core.cycle(), core.cycle() + 1,
+                        [&](const ift::TaintLogCycle &rec, uint64_t,
+                            uint64_t) {
+                            ++visits;
+                            const auto *sample = log.samplesBegin(rec);
+                            for (unsigned m = 0; m < uarch::kModCount; ++m) {
+                                if (stats[m].tainted_regs == 0 &&
+                                    stats[m].taint_bits == 0)
+                                    continue;
+                                ASSERT_TRUE(sample != log.samplesEnd(rec) &&
+                                            sample->module_id == m)
+                                    << "cycle " << core.cycle()
+                                    << " module " << m;
+                                EXPECT_EQ(sample->tainted_regs,
+                                          stats[m].tainted_regs);
+                                EXPECT_EQ(sample->taint_bits,
+                                          stats[m].taint_bits);
+                                ++sample;
+                            }
+                            EXPECT_TRUE(sample == log.samplesEnd(rec))
+                                << "cycle " << core.cycle();
+                        });
+                    ASSERT_EQ(visits, 1u) << "cycle " << core.cycle();
+                    ++checked;
+                };
+                DutResult run;
+                runLane(cfg, input.schedule, input.data, options, false,
+                        mode != ift::IftMode::Off, nullptr, &traces, run,
+                        check);
+                EXPECT_EQ(checked, run.cycles);
+                const ift::TaintLog &log = run.taint_log;
+                ASSERT_FALSE(log.cycles.empty());
+                EXPECT_EQ(log.last_cycle, run.cycles);
+                for (size_t i = 1; i < log.cycles.size(); ++i) {
+                    const auto &a = log.cycles[i - 1];
+                    const auto &b = log.cycles[i];
+                    EXPECT_LT(a.cycle, b.cycle);
+                    EXPECT_FALSE(
+                        a.count == b.count &&
+                        std::equal(log.samplesBegin(a), log.samplesEnd(a),
+                                   log.samplesBegin(b),
+                                   [](const ift::ModuleTaintSample &x,
+                                      const ift::ModuleTaintSample &y) {
+                                       return x.module_id == y.module_id &&
+                                              x.tainted_regs ==
+                                                  y.tainted_regs &&
+                                              x.taint_bits == y.taint_bits;
+                                   }))
+                        << "record at cycle " << b.cycle
+                        << " repeats the one before it";
+                }
+            }
+        }
+    }
+}
+
+TEST(TaintChangeLog, FlushOfATaintedICacheIsLogged)
+{
+    // A swap flushes the i-cache. When its lines were the only taint
+    // left, the flush is the only change a cycle makes, so the change
+    // key must see it: TaintAcct::zero counts as a transition.
+    for (const auto &cfg : kConfigs) {
+        SCOPED_TRACE(cfg.name);
+        uarch::Core core(cfg);
+        swapmem::Memory mem;
+        core.startSequence(swapmem::kSwapBase);
+        // Install one i-cache line fetched down a tainted path.
+        ASSERT_TRUE(core.icache_.startRefill(swapmem::kSwapBase + 0x400,
+                                             true));
+        while (core.icache_.refillBusy())
+            core.icache_.tick();
+        ASSERT_GT(core.icache_.taintedRegCount(), 0u);
+
+        ift::TaintLog log;
+        auto tick = [&]() {
+            ift::TaintCtx ctx;
+            ctx.begin(ift::IftMode::CellIFT, nullptr, nullptr);
+            core.tick(mem, ctx, nullptr);
+            core.appendTaintLog(log);
+        };
+        tick();
+        core.flushICache();
+        tick();
+        std::array<uarch::ModuleStat, uarch::kModCount> stats;
+        core.moduleTaintStats(stats);
+        EXPECT_EQ(stats[uarch::kModICache].tainted_regs, 0u);
+        log.inEffect(core.cycle(), core.cycle() + 1,
+                     [&](const ift::TaintLogCycle &rec, uint64_t,
+                         uint64_t) {
+                         EXPECT_EQ(rec.cycle, core.cycle())
+                             << "the flush appended no record";
+                         EXPECT_EQ(rec.count, 0u);
+                     });
+    }
+}
+
+/** Divergence-point resumes and fallbacks so far (process-wide). */
+uint64_t
+divergenceResumes()
+{
+    return obs::snapshot().counter(obs::Ctr::DivergenceResumes);
+}
+
+uint64_t
+divergenceFallbacks()
+{
+    return obs::snapshot().counter(obs::Ctr::DivergenceFallbacks);
+}
+
+/** @p schedule with the transient packet's words @p twin replaced by
+ *  NOPs, as Phase 3 sanitizes its encode block. */
+swapmem::SwapSchedule
+nopped(const swapmem::SwapSchedule &schedule, harness::WordRange twin)
+{
+    swapmem::SwapSchedule out = schedule;
+    auto &instrs = out.packets[out.transientIndex()].instrs;
+    isa::Instr nop;
+    nop.op = isa::Op::ADDI;
+    for (size_t i = twin.begin; i < twin.end && i < instrs.size(); ++i)
+        instrs[i] = nop;
+    return out;
+}
+
+/** What the twin of one divergence round did. */
+enum class TwinStart { Divergence, Fallback, Boundary };
+
+/**
+ * One divergence round on @p sim: a run that names @p twin, then its
+ * twin (those words nopped). Each must equal a run from reset.
+ */
+TwinStart
+twinRound(DualSim &sim, const uarch::CoreConfig &cfg,
+          const swapmem::SwapSchedule &schedule,
+          const harness::StimulusData &data, const SimOptions &capture,
+          const SimOptions &twin_options, harness::WordRange twin)
+{
+    DualResult got;
+    sim.runDual(schedule, data, capture, got, twin);
+    {
+        SCOPED_TRACE("capturing run");
+        expectDualEqual(got, freshDual(cfg, schedule, data, capture),
+                        capture.state_hash);
+    }
+    const swapmem::SwapSchedule other = nopped(schedule, twin);
+    const uint64_t resumes = divergenceResumes();
+    const uint64_t fallbacks = divergenceFallbacks();
+    const uint64_t sims = sim.simulations();
+    sim.runDual(other, data, twin_options, got);
+    EXPECT_EQ(sim.simulations() - sims, 2u);
+    {
+        SCOPED_TRACE("twin");
+        expectDualEqual(got, freshDual(cfg, other, data, twin_options),
+                        twin_options.state_hash);
+    }
+    if (divergenceResumes() > resumes)
+        return TwinStart::Divergence;
+    return divergenceFallbacks() > fallbacks ? TwinStart::Fallback
+                                             : TwinStart::Boundary;
+}
+
+TEST(DualSimDivergence, TwinRunsMatchFreshRuns)
+{
+    // Both PoC suites and Phase-1-triggered windows, in every mode,
+    // with several twin ranges each: the encode block of a triggered
+    // window, and for every input a few slices of its transient
+    // packet. The twin runs without a taint log, as Phase 3 does, and
+    // with one. Whichever point it resumes from, it must equal a run
+    // from reset; and the divergence point must actually be used.
+    for (const auto &cfg : kConfigs) {
+        SCOPED_TRACE(cfg.name);
+        struct Input
+        {
+            bench::Poc poc;
+            std::vector<harness::WordRange> twins;
+        };
+        std::vector<Input> inputs;
+        for (bench::Poc &poc : bench::pocSuite())
+            inputs.push_back({std::move(poc), {}});
+        for (bench::Poc &poc : bench::scenarioPocSuite())
+            inputs.push_back({std::move(poc), {}});
+        for (TestCase &tc : triggeredCases(cfg, 6)) {
+            if (!tc.has_window_payload)
+                continue;
+            inputs.push_back({bench::Poc{"triggered", std::move(tc.schedule),
+                                         std::move(tc.data)},
+                              {{tc.encode_begin, tc.encode_end}}});
+        }
+        unsigned starts[3] = {};
+        DualSim sim(cfg);
+        for (Input &input : inputs) {
+            SCOPED_TRACE(input.poc.name);
+            const swapmem::SwapSchedule &schedule = input.poc.schedule;
+            const size_t n =
+                schedule.packets[schedule.transientIndex()].instrs.size();
+            input.twins.push_back({n / 2, n});
+            input.twins.push_back({n / 3, 2 * n / 3});
+            input.twins.push_back({1, 2});
+            for (auto mode : {ift::IftMode::DiffIFT, ift::IftMode::CellIFT,
+                              ift::IftMode::DiffIFTFN, ift::IftMode::Off}) {
+                SCOPED_TRACE(ift::iftModeName(mode));
+                for (harness::WordRange twin : input.twins) {
+                    SCOPED_TRACE(testing::Message() << "twin [" << twin.begin
+                                                    << ", " << twin.end
+                                                    << ")");
+                    for (bool twin_log : {false, true}) {
+                        SCOPED_TRACE(twin_log);
+                        SimOptions twin_options = fullOptions(mode);
+                        twin_options.taint_log = twin_log;
+                        ++starts[static_cast<int>(twinRound(
+                            sim, cfg, schedule, input.poc.data,
+                            fullOptions(mode), twin_options, twin))];
+                    }
+                }
+            }
+        }
+        // Every twin matched its capturing run's key, and most of
+        // them resumed at the divergence point.
+        EXPECT_EQ(starts[static_cast<int>(TwinStart::Boundary)], 0u);
+        EXPECT_GT(starts[static_cast<int>(TwinStart::Divergence)],
+                  starts[static_cast<int>(TwinStart::Fallback)]);
+    }
+}
+
+/** How a stimulus touches its own twin words before fetching them. */
+enum class Touch { None, Load, Store };
+
+/**
+ * A training packet, then a transient packet whose words
+ * [kTwinBegin, kTwinEnd) are its twin: far ahead of them, it loads
+ * one of them into a secret-free address computation (Load) or stores
+ * an instruction over the first one (Store); Touch::None loads from
+ * the scratch area instead. Either touch makes the result depend on
+ * the twin words long before fetch reaches them.
+ */
+constexpr size_t kTwinBegin = 160;
+constexpr size_t kTwinEnd = 164;
+
+bench::Poc
+touchingStimulus(Touch touch)
+{
+    using namespace isa::reg;
+    using isa::Op;
+    bench::Poc poc;
+    poc.name = touch == Touch::Load    ? "load"
+               : touch == Touch::Store ? "store"
+                                       : "no touch";
+    Rng rng(0x70c4);
+    poc.data = harness::StimulusData::random(rng);
+
+    isa::ProgBuilder warm(swapmem::kSwapBase);
+    warm.la(t2, swapmem::kLeakArrayAddr);
+    warm.ld(t5, t2, 0);
+    warm.swapnext();
+    swapmem::SwapPacket train;
+    train.label = "train";
+    train.kind = swapmem::PacketKind::WindowTrain;
+    train.instrs = warm.finish();
+
+    isa::ProgBuilder prog(swapmem::kSwapBase);
+    const uint64_t twin_addr = swapmem::kSwapBase + 4 * kTwinBegin;
+    prog.la(t2, swapmem::kLeakArrayAddr);
+    prog.la(t3, swapmem::kLeakArrayAddr + 0x800);
+    switch (touch) {
+      case Touch::Load:
+      case Touch::None:
+        // The word's bits pick the probe line: a twin that differs
+        // there loads another line.
+        prog.la(t0, touch == Touch::Load ? twin_addr
+                                         : swapmem::kScratchAddr);
+        prog.emit(Op::LW, t1, t0, 0, 0);
+        prog.andi(t1, t1, 0x7c0);
+        prog.add(t1, t1, t2);
+        prog.ld(s3, t1, 0);
+        break;
+      case Touch::Store: {
+        // Overwrite the first twin word with a load: in a twin run,
+        // restoring the twin's own word there would undo the store.
+        isa::Instr load;
+        load.op = Op::LD;
+        load.rd = s5;
+        load.rs1 = t3;
+        prog.la(t0, twin_addr);
+        prog.li(t1, isa::encode(load));
+        prog.emit(Op::SW, 0, t0, t1, 0);
+        break;
+      }
+    }
+    prog.padTo(twin_addr);
+    for (size_t i = kTwinBegin; i < kTwinEnd; ++i)
+        prog.addi(s4, s4, 1);
+    prog.swapnext();
+    swapmem::SwapPacket transient;
+    transient.label = "transient";
+    transient.kind = swapmem::PacketKind::Transient;
+    transient.instrs = prog.finish();
+
+    poc.schedule.packets = {train, transient};
+    return poc;
+}
+
+TEST(DualSimDivergence, TwinWordsTouchedEarlyFallBack)
+{
+    // A load from, or a store to, a twin word before fetch nears it
+    // makes everything after depend on those words, so the divergence
+    // snapshot is not kept and the twin resumes at the boundary; the
+    // same program touching another address resumes at the
+    // divergence point. Every run must equal a run from reset.
+    for (const auto &cfg : kConfigs) {
+        SCOPED_TRACE(cfg.name);
+        for (Touch touch : {Touch::None, Touch::Load, Touch::Store}) {
+            const bench::Poc poc = touchingStimulus(touch);
+            SCOPED_TRACE(poc.name);
+            for (auto mode : {ift::IftMode::DiffIFT, ift::IftMode::CellIFT,
+                              ift::IftMode::DiffIFTFN, ift::IftMode::Off}) {
+                SCOPED_TRACE(ift::iftModeName(mode));
+                DualSim sim(cfg);
+                SimOptions twin_options = fullOptions(mode);
+                twin_options.taint_log = false;
+                const TwinStart start = twinRound(
+                    sim, cfg, poc.schedule, poc.data, fullOptions(mode),
+                    twin_options, {kTwinBegin, kTwinEnd});
+                EXPECT_EQ(start, touch == Touch::None
+                                     ? TwinStart::Divergence
+                                     : TwinStart::Fallback);
+            }
+        }
+    }
+}
+
 TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
 {
     // Phase 2 -> mutations -> Phase 3 -> CellIFT and Off runs ->
@@ -670,15 +1056,18 @@ TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
         DualSim sim(cfg);
         Rng rng(0x1e5a);
 
+        // Phase-2 runs name their encode block, as Phase 2 does, so
+        // the divergence key is taken, kept and dropped along the way.
         auto run = [&](const char *what,
                        const swapmem::SwapSchedule &schedule,
                        const harness::StimulusData &data,
                        const SimOptions &options,
-                       std::optional<bool> expect_resume) {
+                       std::optional<bool> expect_resume,
+                       harness::WordRange twin = {}) {
             SCOPED_TRACE(what);
             const uint64_t before = resumedCycles();
             DualResult got;
-            sim.runDual(schedule, data, options, got);
+            sim.runDual(schedule, data, options, got, twin);
             if (expect_resume.has_value()) {
                 EXPECT_EQ(resumedCycles() > before, *expect_resume);
             }
@@ -695,7 +1084,8 @@ TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
             TestCase a = seeds[0];
             const TestCase &b = seeds[1];
 
-            run("phase 2", a.schedule, a.data, p2, std::nullopt);
+            run("phase 2", a.schedule, a.data, p2, std::nullopt,
+                {a.encode_begin, a.encode_end});
             for (unsigned k = 0; k < 3; ++k) {
                 SCOPED_TRACE(k);
                 gen.mutateWindow(a, rng.next());
@@ -708,7 +1098,8 @@ TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
                 expectDutEqual(single,
                                fresh.runSingle(a.schedule, a.data, hashed),
                                true, "runSingle");
-                run("mutated phase 2", a.schedule, a.data, p2, true);
+                run("mutated phase 2", a.schedule, a.data, p2, true,
+                    {a.encode_begin, a.encode_end});
             }
             run("phase 3", gen.sanitizedSchedule(a), a.data, p3, true);
             // Every mode goes through the same driver. The mode is part
@@ -725,7 +1116,8 @@ TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
                 run("other mode, sanitized", gen.sanitizedSchedule(a),
                     a.data, other_mode, true);
             }
-            run("diffIFT again", a.schedule, a.data, p2, false);
+            run("diffIFT again", a.schedule, a.data, p2, false,
+                {a.encode_begin, a.encode_end});
             // One flipped secret bit, then one flipped operand bit on
             // top: each alone changes the prefix.
             harness::StimulusData other_secret = a.data;
@@ -749,7 +1141,8 @@ TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
                 other_budget, false);
             run("other seed", b.schedule, b.data, p2, false);
             gen.mutateWindow(a, rng.next());
-            run("back: phase 2", a.schedule, a.data, p2, false);
+            run("back: phase 2", a.schedule, a.data, p2, false,
+                {a.encode_begin, a.encode_end});
             run("back: phase 3", gen.sanitizedSchedule(a), a.data, p3,
                 true);
             if (!p2_log) {

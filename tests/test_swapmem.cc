@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <set>
 #include <vector>
@@ -774,16 +775,17 @@ TEST(MemoryStore, StoresMatchByteReferenceThroughResetAndCopy)
     // victim-placement and secret-swap flips, the Memory holds exactly
     // what a byte-at-a-time reference holds, flags included. Each
     // store reads back, wide reads agree with the byte view
-    // throughout, and reset() and copyFrom() see every page a store
-    // wrote.
+    // throughout, and reset(), save() and restore() see every page a
+    // store wrote.
     Rng rng(0x0d0109);
     swapmem::Memory mem;
     swapmem::Memory copy;
+    swapmem::Memory::Snapshot snap;
     const MemState pristine = observe(mem);
     unsigned flag_changes = 0;
     BlockLoads loads;
     for (int trial = 0; trial < 60; ++trial) {
-        // reset() and copyFrom() touch only dirty pages, so these
+        // reset(), save() and restore() touch only dirty pages, so these
         // checks also catch a store that failed to mark a page.
         mem.reset();
         EXPECT_TRUE(observe(mem) == pristine) << "trial " << trial;
@@ -801,9 +803,10 @@ TEST(MemoryStore, StoresMatchByteReferenceThroughResetAndCopy)
         for (unsigned i = 1 + rng.below(32); i > 0; --i)
             mutateAndCheckReads(mem, model, rng, tainted, loads);
         EXPECT_TRUE(observe(mem) == model) << "trial " << trial;
-        // A copy over a differently dirtied image (the previous
+        // A restore over a differently dirtied image (the previous
         // trial's) must clear what only that image wrote.
-        copy.copyFrom(mem);
+        mem.save(snap);
+        copy.restore(snap);
         EXPECT_TRUE(observe(copy) == model) << "trial " << trial;
         flag_changes += model.prot != pristine.prot ||
                         model.victim_supervisor !=
@@ -811,11 +814,68 @@ TEST(MemoryStore, StoresMatchByteReferenceThroughResetAndCopy)
                         model.secret_swapped != pristine.secret_swapped;
     }
     // The flags must actually have moved in some trials, so reset()
-    // and copyFrom() are seen to carry them.
+    // and the snapshots are seen to carry them.
     EXPECT_GT(flag_changes, 10u);
     // Both loadBlock paths must have been drawn, each several times.
     EXPECT_GT(loads.word_loop, 10u);
     EXPECT_GT(loads.fallback, 10u);
+}
+
+TEST(MemoryWatch, EveryAccessKindTouchingTheRangeHits)
+{
+    // The watch backs the divergence-point resume: any byte read,
+    // load, store or instruction fetch overlapping the watched bytes
+    // must register, and nothing else may.
+    constexpr uint64_t kBegin = swapmem::kSwapBase + 0x100;
+    constexpr uint64_t kEnd = kBegin + 16;
+    swapmem::Memory mem;
+    struct Access
+    {
+        const char *what;
+        std::function<void(swapmem::Memory &)> run;
+        bool hits;
+    };
+    const Access accesses[] = {
+        {"byte inside", [](auto &m) { (void)m.byte(kBegin + 3); }, true},
+        {"byte before", [](auto &m) { (void)m.byte(kBegin - 1); }, false},
+        {"byte at end", [](auto &m) { (void)m.byte(kEnd); }, false},
+        {"read straddling the start",
+         [](auto &m) { (void)m.read(kBegin - 4, 8); }, true},
+        {"read below", [](auto &m) { (void)m.read(kBegin - 8, 8); }, false},
+        {"write inside",
+         [](auto &m) { m.write(kEnd - 1, 1, ift::TV{7, 0}); }, true},
+        {"write of an unchanged value",
+         [](auto &m) { m.write(kBegin, 4, ift::TV{0, 0}); }, true},
+        {"write above", [](auto &m) { m.write(kEnd, 8, ift::TV{7, 0}); },
+         false},
+        {"fetch inside", [](auto &m) { (void)m.fetchWord(kBegin + 12); },
+         true},
+        {"fetch below", [](auto &m) { (void)m.fetchWord(kBegin - 4); },
+         false},
+    };
+    for (const Access &access : accesses) {
+        SCOPED_TRACE(access.what);
+        mem.watch(kBegin, kEnd);
+        EXPECT_FALSE(mem.watchHit());
+        access.run(mem);
+        EXPECT_EQ(mem.watchHit(), access.hits);
+    }
+
+    // Not image state: a snapshot neither records nor changes it, and
+    // reset() disarms it.
+    mem.watch(kBegin, kEnd);
+    (void)mem.byte(kBegin);
+    swapmem::Memory::Snapshot snap;
+    mem.save(snap);
+    swapmem::Memory other;
+    other.watch(kBegin, kEnd);
+    other.restore(snap);
+    EXPECT_FALSE(other.watchHit());
+    mem.restore(snap);
+    EXPECT_TRUE(mem.watchHit());
+    mem.reset();
+    (void)mem.byte(kBegin);
+    EXPECT_FALSE(mem.watchHit());
 }
 
 } // namespace

@@ -11,10 +11,18 @@
  * BM_Phase3Standalone / BM_Phase3Fused measure a full Phase-2 +
  * Phase-3 analysis of triggered windows. The fused variant runs both
  * phases on one DualSim, so the Phase-3 sanitized run resumes from the
- * Phase-2 run's transient-boundary snapshot (prefix skipped). The
- * standalone variant runs Phase 3 on a second DualSim whose snapshot
- * holds the previous case's prefix, so the sanitized run starts from
- * reset.
+ * Phase-2 run's divergence-point snapshot (everything before the
+ * mutable tail skipped). The standalone variant runs Phase 3 on a
+ * second DualSim whose snapshot holds the previous case's prefix, so
+ * the sanitized run starts from reset.
+ *
+ * BM_Phase2MutationsShared / BM_Phase2MutationsFresh measure the
+ * Phase-2 runs of triggered seeds: each seed's first run plus a fixed
+ * chain of window mutations. The shared variant runs them all on one
+ * DualSim, as the fuzzer does, so the first run captures the
+ * divergence point and every mutation that leaves the words before
+ * the tail alone resumes there. The fresh variant gives every run a
+ * new DualSim (its construction included), so each starts from reset.
  */
 
 #include <benchmark/benchmark.h>
@@ -157,10 +165,9 @@ runPhase3(benchmark::State &state, bool fused)
     uint64_t analysed = 0;
     for (auto _ : state) {
         for (const auto &tc : cases) {
-            // As Phase 2 does: name the encode block its twin nops.
-            explore_sim.runDual(
-                tc.schedule, tc.data, phase2_options, explore,
-                harness::WordRange{tc.encode_begin, tc.encode_end});
+            // As Phase 2 does: name the tail its twin rewrites.
+            explore_sim.runDual(tc.schedule, tc.data, phase2_options,
+                                explore, tc.mutableTail());
             analyze_sim.runDual(gen.sanitizedSchedule(tc), tc.data,
                                 phase3_options, analyze);
             ++analysed;
@@ -184,6 +191,66 @@ BM_Phase3Fused(benchmark::State &state)
     runPhase3(state, /*fused=*/true);
 }
 BENCHMARK(BM_Phase3Fused)->Unit(benchmark::kMillisecond);
+
+/** Window mutations drawn per seed for BM_Phase2Mutations*. */
+constexpr unsigned kMutationsPerSeed = 8;
+
+void
+runPhase2Mutations(benchmark::State &state, bool shared)
+{
+    auto cfg = uarch::smallBoomConfig();
+    core::StimGen gen(cfg);
+    // Each seed's run chain is drawn up front, so the timed loop only
+    // simulates.
+    std::vector<core::TestCase> runs;
+    Rng rng(0x3b2d);
+    for (core::TestCase &tc : triggeredCases(cfg, 6)) {
+        runs.push_back(tc);
+        for (unsigned k = 0; k < kMutationsPerSeed; ++k) {
+            gen.mutateWindow(tc, rng.next());
+            runs.push_back(tc);
+        }
+    }
+
+    harness::SimOptions options;
+    options.mode = ift::IftMode::DiffIFT;
+    options.taint_log = true;
+    options.sinks = true;
+
+    harness::DualSim shared_sim(cfg);
+    harness::DualResult out;
+    uint64_t simulated = 0;
+    for (auto _ : state) {
+        for (const auto &tc : runs) {
+            if (shared) {
+                shared_sim.runDual(tc.schedule, tc.data, options, out,
+                                   tc.mutableTail());
+            } else {
+                harness::DualSim fresh(cfg);
+                fresh.runDual(tc.schedule, tc.data, options, out,
+                              tc.mutableTail());
+            }
+            ++simulated;
+            benchmark::DoNotOptimize(out.dut0.sinks.data());
+        }
+    }
+    state.counters["runs_per_s"] = benchmark::Counter(
+        static_cast<double>(simulated), benchmark::Counter::kIsRate);
+}
+
+void
+BM_Phase2MutationsFresh(benchmark::State &state)
+{
+    runPhase2Mutations(state, /*shared=*/false);
+}
+BENCHMARK(BM_Phase2MutationsFresh)->Unit(benchmark::kMillisecond);
+
+void
+BM_Phase2MutationsShared(benchmark::State &state)
+{
+    runPhase2Mutations(state, /*shared=*/true);
+}
+BENCHMARK(BM_Phase2MutationsShared)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -137,10 +137,10 @@ Phase2::run(const TestCase &tc)
     harness::SimOptions options = options_;
     options.taint_log = true;
     options.sinks = true;
-    // Phase 3's sanitized twin rewrites the encode block; naming it
-    // lets the twin resume where the two runs can first differ.
+    // Later runs of this seed rewrite only the mutable tail; naming it
+    // lets them resume where the runs can first differ.
     sim_->runDual(tc.schedule, tc.data, options, result.dual,
-                  harness::WordRange{tc.encode_begin, tc.encode_end});
+                  tc.mutableTail());
 
     result.window = checkWindow(result.dual.dut0.trace, tc);
     result.window_ok = result.dual.dut0.completed &&
@@ -299,9 +299,8 @@ Phase3::run(const TestCase &tc, const Phase2Result &phase2,
     }
 
     // Encode sanitization: re-run with the encoding block nopped and
-    // diff the taint footprints. The sanitized twin repeats the Phase-2
-    // run until the encode block is first reached, so the harness
-    // resumes it there (or, failing that, at the transient boundary).
+    // diff the taint footprints. The harness resumes the sanitized twin
+    // where fetch nears the seed's mutable tail (or at the boundary).
     harness::SimOptions options = options_;
     options.taint_log = false;
     options.sinks = true;

@@ -153,6 +153,12 @@ struct TestCase
     size_t encode_end = 0;
 
     bool has_window_payload = false; ///< Phase 2 completed the window
+
+    /** Index of the window body's first word: a window mutation (bar
+     *  a mask_high_bits toggle) and sanitizing rewrite only words from
+     *  here to the transient packet's end, its *mutable tail*. */
+    size_t
+    mutableTail() const { return (window_addr - swapmem::kSwapBase) / 4; }
 };
 
 } // namespace dejavuzz::core

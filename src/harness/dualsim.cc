@@ -137,18 +137,17 @@ DualSim::PrefixKey::resumable(const SwapSchedule &schedule_in,
 bool
 DualSim::DivergenceKey::matches(const SwapSchedule &schedule,
                                 size_t transient_in,
-                                const SimOptions &options_in) const
+                                const SimOptions &options_in,
+                                size_t tail_in) const
 {
     if (!valid || transient_in + 1 != schedule.packets.size() ||
-        !optionsAllow(options, options_in))
+        tail_in < tail || !optionsAllow(options, options_in))
         return false;
     const std::vector<isa::Instr> &instrs =
         schedule.packets[transient_in].instrs;
     return instrs.size() == transient.size() &&
-           std::equal(instrs.begin(), instrs.begin() + twin.begin,
-                      transient.begin(), sameWord) &&
-           std::equal(instrs.begin() + twin.end, instrs.end(),
-                      transient.begin() + twin.end, sameWord);
+           std::equal(instrs.begin(), instrs.begin() + tail,
+                      transient.begin(), sameWord);
 }
 
 void
@@ -291,53 +290,48 @@ DualSim::runSingle(const SwapSchedule &schedule, const StimulusData &data,
  *
  * A run resumes from the latest point it provably shares with an
  * earlier run: the divergence-point snapshot when its transient packet
- * differs from the capturing run's only in the twin words, else the
+ * equals the capturing run's before the tail, else the
  * transient-boundary snapshot when its prefix matches. Any other run
  * starts from reset and, when the schedule has a training prefix,
- * replaces the boundary snapshot.
+ * replaces the boundary snapshot. Only a run that does not resume at
+ * the divergence point searches for its own.
  */
 void
 DualSim::runDual(const SwapSchedule &schedule, const StimulusData &data,
-                 const SimOptions &options, DualResult &out,
-                 WordRange twin)
+                 const SimOptions &options, DualResult &out, size_t tail)
 {
     const SimOptions sibling = siblingOptions(options);
     LaneRun l0(lane0_, out.dut0, schedule);
     LaneRun l1(lane1_, out.dut1, schedule);
     const size_t transient = resumePoint(schedule);
 
-    // The twin words are searched for only when the transient packet
-    // is the last one, so it stays in the swap region to the end.
+    // The tail is searched for only when the transient packet is the
+    // last one, so it stays in the swap region to the end.
     DivergenceSearch search;
     DivergenceSearch *searching = nullptr;
-    if (transient != SIZE_MAX && transient + 1 == schedule.packets.size()) {
-        twin.end = std::min(twin.end,
-                            schedule.packets[transient].instrs.size());
-        if (twin.begin < twin.end) {
-            search.transient = transient;
-            search.begin = swapmem::kSwapBase + 4 * twin.begin;
-            search.end = swapmem::kSwapBase + 4 * twin.end;
-            searching = &search;
-        }
+    if (transient != SIZE_MAX && transient + 1 == schedule.packets.size() &&
+        tail < schedule.packets[transient].instrs.size()) {
+        search.transient = transient;
+        search.begin = swapmem::kSwapBase + 4 * tail;
+        search.end = swapmem::kSwapBase +
+                     4 * schedule.packets[transient].instrs.size();
+        searching = &search;
     }
 
     const bool resumable =
         prefix_.resumable(schedule, transient, data, options);
-    // A run that names other twin words searches for its own
-    // divergence point rather than reuse one found for these.
     const bool diverges =
-        resumable && (searching == nullptr || twin == divergence_.twin) &&
-        divergence_.matches(schedule, transient, options);
+        resumable && divergence_.matches(schedule, transient, options, tail);
     if (diverges && divergence_.captured) {
         restoreLane(divergence0_, l0, options);
         restoreLane(divergence1_, l1, sibling);
-        // Nothing before the snapshot touched the twin words, so this
-        // schedule's own words are all that differs.
+        // Nothing before the snapshot touched the tail, so this
+        // schedule's own tail words are all that differs.
         for (LaneRun *lr : {&l0, &l1}) {
             if (lr->runtime.cursor() >= transient)
-                swapmem::loadPacketWords(
-                    lr->lane.mem, schedule.packets[transient],
-                    divergence_.twin.begin, divergence_.twin.end);
+                swapmem::loadPacketWords(lr->lane.mem,
+                                         schedule.packets[transient],
+                                         divergence_.tail);
         }
         obs::counterAdd(obs::Ctr::FusedLaneCycles,
                         divergence0_.core.cycle() +
@@ -384,7 +378,7 @@ DualSim::runDual(const SwapSchedule &schedule, const StimulusData &data,
         }
         if (searching != nullptr) {
             divergence_.transient = schedule.packets[transient].instrs;
-            divergence_.twin = twin;
+            divergence_.tail = tail;
             divergence_.options = options;
             divergence_.captured = search.captured;
             divergence_.valid = true;
@@ -402,8 +396,8 @@ DualSim::searchDivergence(LaneRun &l0, LaneRun &l1,
     bool near = false;
     bool touched = false;
     for (LaneRun *lr : {&l0, &l1}) {
-        // A lane still training holds a training packet where the twin
-        // words go, so nothing it does can read them.
+        // A lane still training holds a training packet where the
+        // tail goes, so nothing it does can read it.
         if (lr->runtime.cursor() < search.transient)
             continue;
         if (!lr->watched) {
@@ -416,7 +410,7 @@ DualSim::searchDivergence(LaneRun &l0, LaneRun &l1,
     }
     if (!near)
         return;
-    // This cycle's fetch group may reach a twin word: the point to
+    // This cycle's fetch group may reach a tail word: the point to
     // snapshot, provided no earlier cycle touched one.
     search.pending = false;
     if (touched)

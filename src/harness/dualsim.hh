@@ -37,27 +37,31 @@
  * packet (always before any transient instruction is fetched: the
  * load happens at the end of the triggering tick and fetch resumes
  * next tick), together with an exact copy of everything that prefix
- * depends on. The next runDual whose prefix compares equal —
- * a Phase-2 mutation of the same seed, or its Phase-3 sanitized twin
- * — restores the snapshot, reloads the swap region with its own
+ * depends on. The next runDual whose prefix compares equal — a later
+ * run of the same seed that the divergence point below cannot serve —
+ * restores the snapshot, reloads the swap region with its own
  * transient packet and runs only the suffix.
  *
- * **Divergence-point resume.** A run can also name the words of its
- * transient packet that a later *twin* run rewrites (Phase 2 names its
- * encode block, which Phase 3 replaces by NOPs). Until a lane that
- * holds the transient packet first touches one of those words, the
- * twin repeats the run cycle for cycle. So, past the boundary, the run
- * watches the words in each lane that holds the transient packet
- * (Memory::watch: every fetch, load, refill, store and byte read), and
- * snapshots both lanes again at the start of the first cycle in which
- * such a lane's fetch PC is within one fetch group of them. The
- * snapshot is kept only if no watched lane has touched a word by then.
- * A later run whose prefix matches, whose transient packet differs
- * from the capturing run's only inside those words, and that names no
- * other words restores this later snapshot, stores its own words there
- * and runs from that cycle on; such a run whose snapshot was not kept
- * falls back to the boundary. Both captures store only the lanes'
- * dirty memory pages.
+ * **Divergence-point resume.** A run can also name the *tail* of its
+ * transient packet: the words from one index to the packet's end that
+ * the later runs of its seed rewrite (Phase 2 names the window body
+ * onward: its mutations redraw only those words, and Phase 3's
+ * sanitized twin nops its encode block, which lies inside). Until a
+ * lane that holds the transient packet first touches a tail word,
+ * such a run repeats this one cycle for cycle. So, past the boundary,
+ * the run watches the tail in each lane that holds the transient
+ * packet (Memory::watch: every fetch, load, refill, store and byte
+ * read), and snapshots both lanes again at the start of the first
+ * cycle in which such a lane's fetch PC is within one fetch group of
+ * it. The snapshot is kept only if no watched lane has touched the
+ * tail by then. A later run whose prefix matches, whose transient
+ * packet has the capturing run's size and equals it before the tail,
+ * and that names no earlier tail restores this later snapshot, stores
+ * its own tail words and runs from that cycle on, and captures
+ * nothing; such a run whose snapshot was not kept falls back to the
+ * boundary. So a seed is captured once, by its first Phase-2 run, and
+ * its mutations and twins resume there. Both captures store only the
+ * lanes' dirty memory pages.
  *
  * Either resume is bit-identical to a run from reset (CI-enforced), so
  * callers never see the difference; simulation counts stay logical
@@ -93,18 +97,6 @@ struct SimOptions
     bool state_hash = false;
     uint64_t packet_cycle_budget = 1500;
     uint64_t total_cycle_budget = 20000;
-};
-
-/**
- * Instruction-index range [begin, end) of a schedule's transient
- * packet; empty by default.
- */
-struct WordRange
-{
-    size_t begin = 0;
-    size_t end = 0;
-
-    bool operator==(const WordRange &) const = default;
 };
 
 /** Result of one DUT instance's run. */
@@ -177,13 +169,14 @@ class DualSim
 
     /**
      * Full differential run (both instances). Writes into @p out,
-     * reusing its buffers: the hot path for the phase drivers. @p twin
-     * names the transient-packet words a later twin run rewrites (the
-     * divergence-point resume); it never changes this run's result.
+     * reusing its buffers: the hot path for the phase drivers. @p tail
+     * is the index of the first transient-packet word that later runs
+     * of this seed rewrite (the divergence-point resume; SIZE_MAX:
+     * none); it never changes this run's result.
      */
     void runDual(const swapmem::SwapSchedule &schedule,
                  const StimulusData &data, const SimOptions &options,
-                 DualResult &out, WordRange twin = {});
+                 DualResult &out, size_t tail = SIZE_MAX);
 
     /** By-value convenience wrapper around the pooled overload. */
     DualResult runDual(const swapmem::SwapSchedule &schedule,
@@ -228,7 +221,7 @@ class DualSim
         uint64_t taint_transitions_base = 0;
         bool started = false; ///< false: schedule was empty at start
         bool done = false;
-        bool watched = false; ///< its memory watches the twin words
+        bool watched = false; ///< its memory watches the tail
     };
 
     /**
@@ -277,29 +270,31 @@ class DualSim
 
     /**
      * What the divergence-point captures were taken on, on top of the
-     * prefix: the capturing run's transient packet, the twin words and
-     * the options. Pooled like PrefixKey.
+     * prefix: the capturing run's transient packet, its tail and the
+     * options. Pooled like PrefixKey.
      */
     struct DivergenceKey
     {
         std::vector<isa::Instr> transient;
-        WordRange twin;
+        size_t tail = 0;
         SimOptions options;
         bool valid = false;    ///< a run on the current prefix set it
         bool captured = false; ///< the divergence captures hold it
 
-        /** Does @p schedule's transient packet differ from the key's
-         *  only inside the twin words, under options that allow it? */
+        /** Does @p schedule's transient packet have the key's size and
+         *  equal it before the tail, under options that allow it? A
+         *  run naming an earlier tail @p tail_in needs its own
+         *  capture, for its later runs may rewrite words before ours. */
         bool matches(const swapmem::SwapSchedule &schedule,
-                     size_t transient_in,
-                     const SimOptions &options_in) const;
+                     size_t transient_in, const SimOptions &options_in,
+                     size_t tail_in) const;
     };
 
     /** One run's search for its divergence point. */
     struct DivergenceSearch
     {
         size_t transient = 0;   ///< index of the transient packet
-        uint64_t begin = 0;     ///< watched bytes [begin, end)
+        uint64_t begin = 0;     ///< watched tail bytes [begin, end)
         uint64_t end = 0;
         bool pending = true;    ///< the capture cycle is still ahead
         bool captured = false;  ///< the divergence captures are valid

@@ -52,7 +52,7 @@ enum class Ctr : uint8_t {
     FusedLaneCycles,   ///< prefix cycles skipped by runDual resumes
     DivergenceCaptures,  ///< divergence-point snapshots kept
     DivergenceResumes,   ///< runDuals resumed at the divergence point
-    /** runDuals whose twin words matched but whose divergence-point
+    /** runDuals whose packet matched a divergence key but whose
      *  snapshot was not kept, so they resumed at the boundary. */
     DivergenceFallbacks,
     BatchRetries,      ///< failed/timed-out batches re-executed

@@ -1,7 +1,5 @@
 #include "swapmem/packet.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace dejavuzz::swapmem {
@@ -103,10 +101,9 @@ SwapRuntime::advance(Memory &mem)
 }
 
 void
-loadPacketWords(Memory &mem, const SwapPacket &packet, size_t begin,
-                size_t end)
+loadPacketWords(Memory &mem, const SwapPacket &packet, size_t begin)
 {
-    end = std::min(end, packet.instrs.size());
+    const size_t end = packet.instrs.size();
     if (begin >= end)
         return;
     // Encode into a stack buffer and store it in one block.
@@ -125,7 +122,7 @@ SwapRuntime::loadCurrent(Memory &mem)
     // Load the packet into the swappable region in one block, then
     // clear whatever is left past it (the previous packet's tail and
     // any U-mode stores). Unchanged bytes are not stored at all.
-    loadPacketWords(mem, packet, 0, packet.instrs.size());
+    loadPacketWords(mem, packet, 0);
     const uint64_t end = kSwapBase + 4 * packet.instrs.size();
     mem.zeroRange(end, kSwapBase + kSwapSize - end);
 

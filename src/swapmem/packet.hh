@@ -83,12 +83,11 @@ struct SwapSchedule
 };
 
 /**
- * Store instructions [@p begin, @p end) of @p packet (clamped to its
- * length) where loading the packet places them, exactly as the load
- * stores them: untainted, unchanged words skipped.
+ * Store the instructions of @p packet from index @p begin to its end
+ * where loading the packet places them, exactly as the load stores
+ * them: untainted, unchanged words skipped.
  */
-void loadPacketWords(Memory &mem, const SwapPacket &packet, size_t begin,
-                     size_t end);
+void loadPacketWords(Memory &mem, const SwapPacket &packet, size_t begin);
 
 /**
  * The swap runtime: the pre-silicon analogue of the paper's ~500 LoC

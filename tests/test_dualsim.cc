@@ -816,71 +816,98 @@ divergenceFallbacks()
     return obs::snapshot().counter(obs::Ctr::DivergenceFallbacks);
 }
 
-/** @p schedule with the transient packet's words @p twin replaced by
- *  NOPs, as Phase 3 sanitizes its encode block. */
+/**
+ * A run's tail, and the words inside it that its twin replaces by
+ * NOPs, as Phase 3 sanitizes its encode block.
+ */
+struct Tail
+{
+    size_t tail;
+    size_t nop_begin;
+    size_t nop_end;
+};
+
+/** @p schedule with the transient packet's words
+ *  [@p tail.nop_begin, @p tail.nop_end) replaced by NOPs. */
 swapmem::SwapSchedule
-nopped(const swapmem::SwapSchedule &schedule, harness::WordRange twin)
+nopped(const swapmem::SwapSchedule &schedule, const Tail &tail)
 {
     swapmem::SwapSchedule out = schedule;
     auto &instrs = out.packets[out.transientIndex()].instrs;
     isa::Instr nop;
     nop.op = isa::Op::ADDI;
-    for (size_t i = twin.begin; i < twin.end && i < instrs.size(); ++i)
+    for (size_t i = tail.nop_begin; i < tail.nop_end && i < instrs.size();
+         ++i)
         instrs[i] = nop;
     return out;
 }
 
-/** What the twin of one divergence round did. */
-enum class TwinStart { Divergence, Fallback, Boundary };
+/** Where a run started, read off the resume counters around it. */
+enum class RunStart { Divergence, Fallback, Boundary, Reset };
+
+/** Runs @p run and says where it started. */
+template <typename Run>
+RunStart
+startOf(Run &&run)
+{
+    const uint64_t resumes = divergenceResumes();
+    const uint64_t fallbacks = divergenceFallbacks();
+    const uint64_t resumed = resumedCycles();
+    run();
+    if (divergenceResumes() > resumes)
+        return RunStart::Divergence;
+    if (divergenceFallbacks() > fallbacks)
+        return RunStart::Fallback;
+    return resumedCycles() > resumed ? RunStart::Boundary
+                                     : RunStart::Reset;
+}
 
 /**
- * One divergence round on @p sim: a run that names @p twin, then its
- * twin (those words nopped). Each must equal a run from reset.
+ * One divergence round on @p sim: a run that names @p tail, then its
+ * twin. Each must equal a run from reset. Returns where the twin
+ * started.
  */
-TwinStart
+RunStart
 twinRound(DualSim &sim, const uarch::CoreConfig &cfg,
           const swapmem::SwapSchedule &schedule,
           const harness::StimulusData &data, const SimOptions &capture,
-          const SimOptions &twin_options, harness::WordRange twin)
+          const SimOptions &twin_options, const Tail &tail)
 {
     DualResult got;
-    sim.runDual(schedule, data, capture, got, twin);
+    sim.runDual(schedule, data, capture, got, tail.tail);
     {
         SCOPED_TRACE("capturing run");
         expectDualEqual(got, freshDual(cfg, schedule, data, capture),
                         capture.state_hash);
     }
-    const swapmem::SwapSchedule other = nopped(schedule, twin);
-    const uint64_t resumes = divergenceResumes();
-    const uint64_t fallbacks = divergenceFallbacks();
+    const swapmem::SwapSchedule other = nopped(schedule, tail);
     const uint64_t sims = sim.simulations();
-    sim.runDual(other, data, twin_options, got);
+    const RunStart start = startOf(
+        [&] { sim.runDual(other, data, twin_options, got); });
     EXPECT_EQ(sim.simulations() - sims, 2u);
     {
         SCOPED_TRACE("twin");
         expectDualEqual(got, freshDual(cfg, other, data, twin_options),
                         twin_options.state_hash);
     }
-    if (divergenceResumes() > resumes)
-        return TwinStart::Divergence;
-    return divergenceFallbacks() > fallbacks ? TwinStart::Fallback
-                                             : TwinStart::Boundary;
+    return start;
 }
 
 TEST(DualSimDivergence, TwinRunsMatchFreshRuns)
 {
     // Both PoC suites and Phase-1-triggered windows, in every mode,
-    // with several twin ranges each: the encode block of a triggered
-    // window, and for every input a few slices of its transient
-    // packet. The twin runs without a taint log, as Phase 3 does, and
-    // with one. Whichever point it resumes from, it must equal a run
-    // from reset; and the divergence point must actually be used.
+    // with several tails each: the mutable tail of a triggered window
+    // (its twin nops the encode block), and for every input a few
+    // tails of its transient packet with words inside them nopped. The
+    // twin runs without a taint log, as Phase 3 does, and with one.
+    // Whichever point it resumes from, it must equal a run from reset;
+    // and the divergence point must actually be used.
     for (const auto &cfg : kConfigs) {
         SCOPED_TRACE(cfg.name);
         struct Input
         {
             bench::Poc poc;
-            std::vector<harness::WordRange> twins;
+            std::vector<Tail> tails;
         };
         std::vector<Input> inputs;
         for (bench::Poc &poc : bench::pocSuite())
@@ -890,56 +917,135 @@ TEST(DualSimDivergence, TwinRunsMatchFreshRuns)
         for (TestCase &tc : triggeredCases(cfg, 6)) {
             if (!tc.has_window_payload)
                 continue;
+            const Tail tail{tc.mutableTail(), tc.encode_begin,
+                            tc.encode_end};
             inputs.push_back({bench::Poc{"triggered", std::move(tc.schedule),
                                          std::move(tc.data)},
-                              {{tc.encode_begin, tc.encode_end}}});
+                              {tail}});
         }
-        unsigned starts[3] = {};
+        unsigned starts[4] = {};
         DualSim sim(cfg);
         for (Input &input : inputs) {
             SCOPED_TRACE(input.poc.name);
             const swapmem::SwapSchedule &schedule = input.poc.schedule;
             const size_t n =
                 schedule.packets[schedule.transientIndex()].instrs.size();
-            input.twins.push_back({n / 2, n});
-            input.twins.push_back({n / 3, 2 * n / 3});
-            input.twins.push_back({1, 2});
+            input.tails.push_back({n / 2, n / 2, n});
+            input.tails.push_back({n / 3, n / 3, 2 * n / 3});
+            input.tails.push_back({1, n / 2, n / 2 + 1});
             for (auto mode : {ift::IftMode::DiffIFT, ift::IftMode::CellIFT,
                               ift::IftMode::DiffIFTFN, ift::IftMode::Off}) {
                 SCOPED_TRACE(ift::iftModeName(mode));
-                for (harness::WordRange twin : input.twins) {
-                    SCOPED_TRACE(testing::Message() << "twin [" << twin.begin
-                                                    << ", " << twin.end
-                                                    << ")");
+                for (const Tail &tail : input.tails) {
+                    SCOPED_TRACE(testing::Message()
+                                 << "tail " << tail.tail << ", nops ["
+                                 << tail.nop_begin << ", " << tail.nop_end
+                                 << ")");
                     for (bool twin_log : {false, true}) {
                         SCOPED_TRACE(twin_log);
                         SimOptions twin_options = fullOptions(mode);
                         twin_options.taint_log = twin_log;
                         ++starts[static_cast<int>(twinRound(
                             sim, cfg, schedule, input.poc.data,
-                            fullOptions(mode), twin_options, twin))];
+                            fullOptions(mode), twin_options, tail))];
                     }
                 }
             }
         }
         // Every twin matched its capturing run's key, and most of
         // them resumed at the divergence point.
-        EXPECT_EQ(starts[static_cast<int>(TwinStart::Boundary)], 0u);
-        EXPECT_GT(starts[static_cast<int>(TwinStart::Divergence)],
-                  starts[static_cast<int>(TwinStart::Fallback)]);
+        EXPECT_EQ(starts[static_cast<int>(RunStart::Boundary)], 0u);
+        EXPECT_EQ(starts[static_cast<int>(RunStart::Reset)], 0u);
+        EXPECT_GT(starts[static_cast<int>(RunStart::Divergence)],
+                  starts[static_cast<int>(RunStart::Fallback)]);
     }
 }
 
-/** How a stimulus touches its own twin words before fetching them. */
+TEST(DualSimDivergence, MutationChainMatchesFreshRuns)
+{
+    // As the fuzzer runs a seed on one DualSim: its Phase-2 run, then
+    // window mutations, each followed by its sanitized twin, every
+    // Phase-2 run naming the seed's mutable tail. Every result must
+    // equal a fresh DualSim's. The first run captures the divergence
+    // point; a mutation redraws only the tail, so most resume there
+    // without capturing again. A mutation whose mask_high_bits toggled
+    // adds or removes a setup word before the tail, so it must resume
+    // at the boundary instead (and capture anew).
+    constexpr unsigned kMutations = 10;
+    for (const auto &cfg : kConfigs) {
+        SCOPED_TRACE(cfg.name);
+        StimGen gen(cfg);
+        std::vector<TestCase> seeds;
+        for (TestCase &tc : triggeredCases(cfg, 6)) {
+            if (tc.has_window_payload)
+                seeds.push_back(std::move(tc));
+        }
+        ASSERT_GE(seeds.size(), 2u);
+        unsigned mutations = 0;
+        unsigned resumed = 0;
+        unsigned toggled = 0;
+        for (auto mode : {ift::IftMode::DiffIFT, ift::IftMode::CellIFT,
+                          ift::IftMode::DiffIFTFN, ift::IftMode::Off}) {
+            SCOPED_TRACE(ift::iftModeName(mode));
+            SimOptions p2 = fullOptions(mode);
+            SimOptions p3 = p2;
+            p3.taint_log = false;
+            DualSim sim(cfg);
+            Rng rng(0xc4a1 + static_cast<uint64_t>(mode));
+            for (size_t i = 0; i < seeds.size(); ++i) {
+                SCOPED_TRACE(testing::Message() << "seed " << i);
+                TestCase tc = seeds[i];
+                auto run = [&](const char *what,
+                               const swapmem::SwapSchedule &schedule,
+                               const SimOptions &options, size_t tail) {
+                    SCOPED_TRACE(what);
+                    DualResult got;
+                    const RunStart start = startOf([&] {
+                        sim.runDual(schedule, tc.data, options, got, tail);
+                    });
+                    expectDualEqual(
+                        got, freshDual(cfg, schedule, tc.data, options),
+                        options.state_hash);
+                    return start;
+                };
+                EXPECT_EQ(run("phase 2", tc.schedule, p2,
+                              tc.mutableTail()),
+                          RunStart::Reset);
+                run("phase 3", gen.sanitizedSchedule(tc), p3, SIZE_MAX);
+                for (unsigned k = 0; k < kMutations; ++k) {
+                    SCOPED_TRACE(k);
+                    const bool masked = tc.seed.window.mask_high_bits;
+                    gen.mutateWindow(tc, rng.next());
+                    const RunStart start = run("mutation", tc.schedule,
+                                                p2, tc.mutableTail());
+                    ++mutations;
+                    if (tc.seed.window.mask_high_bits != masked) {
+                        EXPECT_EQ(start, RunStart::Boundary);
+                        ++toggled;
+                    } else {
+                        resumed += start == RunStart::Divergence;
+                    }
+                    run("its phase 3", gen.sanitizedSchedule(tc), p3,
+                        SIZE_MAX);
+                }
+            }
+        }
+        EXPECT_GT(toggled, 0u);
+        EXPECT_GT(2 * resumed, mutations);
+    }
+}
+
+/** How a stimulus touches its own tail before fetching it. */
 enum class Touch { None, Load, Store };
 
 /**
- * A training packet, then a transient packet whose words
- * [kTwinBegin, kTwinEnd) are its twin: far ahead of them, it loads
- * one of them into a secret-free address computation (Load) or stores
- * an instruction over the first one (Store); Touch::None loads from
- * the scratch area instead. Either touch makes the result depend on
- * the twin words long before fetch reaches them.
+ * A training packet, then a transient packet whose tail starts at
+ * kTwinBegin, and whose twin nops [kTwinBegin, kTwinEnd): far ahead of
+ * the tail, it loads one of those words into a secret-free address
+ * computation (Load) or stores an instruction over the first one
+ * (Store); Touch::None loads from the scratch area instead. Either
+ * touch makes the result depend on the tail long before fetch reaches
+ * it.
  */
 constexpr size_t kTwinBegin = 160;
 constexpr size_t kTwinEnd = 164;
@@ -1009,8 +1115,8 @@ touchingStimulus(Touch touch)
 
 TEST(DualSimDivergence, TwinWordsTouchedEarlyFallBack)
 {
-    // A load from, or a store to, a twin word before fetch nears it
-    // makes everything after depend on those words, so the divergence
+    // A load from, or a store to, a tail word before fetch nears the
+    // tail makes everything after depend on it, so the divergence
     // snapshot is not kept and the twin resumes at the boundary; the
     // same program touching another address resumes at the
     // divergence point. Every run must equal a run from reset.
@@ -1025,12 +1131,12 @@ TEST(DualSimDivergence, TwinWordsTouchedEarlyFallBack)
                 DualSim sim(cfg);
                 SimOptions twin_options = fullOptions(mode);
                 twin_options.taint_log = false;
-                const TwinStart start = twinRound(
+                const RunStart start = twinRound(
                     sim, cfg, poc.schedule, poc.data, fullOptions(mode),
-                    twin_options, {kTwinBegin, kTwinEnd});
+                    twin_options, {kTwinBegin, kTwinBegin, kTwinEnd});
                 EXPECT_EQ(start, touch == Touch::None
-                                     ? TwinStart::Divergence
-                                     : TwinStart::Fallback);
+                                     ? RunStart::Divergence
+                                     : RunStart::Fallback);
             }
         }
     }
@@ -1056,18 +1162,18 @@ TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
         DualSim sim(cfg);
         Rng rng(0x1e5a);
 
-        // Phase-2 runs name their encode block, as Phase 2 does, so
+        // Phase-2 runs name their mutable tail, as Phase 2 does, so
         // the divergence key is taken, kept and dropped along the way.
         auto run = [&](const char *what,
                        const swapmem::SwapSchedule &schedule,
                        const harness::StimulusData &data,
                        const SimOptions &options,
                        std::optional<bool> expect_resume,
-                       harness::WordRange twin = {}) {
+                       size_t tail = SIZE_MAX) {
             SCOPED_TRACE(what);
             const uint64_t before = resumedCycles();
             DualResult got;
-            sim.runDual(schedule, data, options, got, twin);
+            sim.runDual(schedule, data, options, got, tail);
             if (expect_resume.has_value()) {
                 EXPECT_EQ(resumedCycles() > before, *expect_resume);
             }
@@ -1085,7 +1191,7 @@ TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
             const TestCase &b = seeds[1];
 
             run("phase 2", a.schedule, a.data, p2, std::nullopt,
-                {a.encode_begin, a.encode_end});
+                a.mutableTail());
             for (unsigned k = 0; k < 3; ++k) {
                 SCOPED_TRACE(k);
                 gen.mutateWindow(a, rng.next());
@@ -1099,7 +1205,7 @@ TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
                                fresh.runSingle(a.schedule, a.data, hashed),
                                true, "runSingle");
                 run("mutated phase 2", a.schedule, a.data, p2, true,
-                    {a.encode_begin, a.encode_end});
+                    a.mutableTail());
             }
             run("phase 3", gen.sanitizedSchedule(a), a.data, p3, true);
             // Every mode goes through the same driver. The mode is part
@@ -1117,7 +1223,7 @@ TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
                     a.data, other_mode, true);
             }
             run("diffIFT again", a.schedule, a.data, p2, false,
-                {a.encode_begin, a.encode_end});
+                a.mutableTail());
             // One flipped secret bit, then one flipped operand bit on
             // top: each alone changes the prefix.
             harness::StimulusData other_secret = a.data;
@@ -1142,7 +1248,7 @@ TEST(DualSimResume, InterleavedHistoryMatchesFreshInstance)
             run("other seed", b.schedule, b.data, p2, false);
             gen.mutateWindow(a, rng.next());
             run("back: phase 2", a.schedule, a.data, p2, false,
-                {a.encode_begin, a.encode_end});
+                a.mutableTail());
             run("back: phase 3", gen.sanitizedSchedule(a), a.data, p3,
                 true);
             if (!p2_log) {

@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark micro-benchmarks: taint-policy kernels, core tick
- * throughput per IFT mode, swap-packet reload, and full
- * differential-run latency. These underpin the wall-clock numbers of
- * the experiment harnesses.
+ * throughput per IFT mode, swap-packet reload, full differential-run
+ * latency, and the cost of one call to each telemetry primitive that
+ * runs inside a simulation. These underpin the wall-clock numbers of
+ * the experiment harnesses and the telemetry overhead gate.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 #include "harness/dualsim.hh"
 #include "ift/policy.hh"
 #include "ift/taint.hh"
+#include "obs/telemetry.hh"
 #include "rtl/fig2_rob.hh"
 #include "uarch/config.hh"
 
@@ -131,6 +133,30 @@ BENCHMARK(BM_DualRun)
     ->Arg(static_cast<int>(ift::IftMode::Off))
     ->Arg(static_cast<int>(ift::IftMode::CellIFT))
     ->Arg(static_cast<int>(ift::IftMode::DiffIFT));
+
+/**
+ * One call of a telemetry primitive. The SampledSpan figure averages
+ * over its sampling period, so it includes the 1-in-64 timed calls.
+ * `bench_dualsim` counts how often each primitive runs per DUT cycle;
+ * scripts/telemetry_gate.py multiplies the two.
+ */
+template <typename Call>
+void
+BM_TelemetryPrimitives(benchmark::State &state, Call call)
+{
+    for (auto _ : state)
+        call();
+}
+BENCHMARK_CAPTURE(BM_TelemetryPrimitives, sampled_span, [] {
+    obs::SampledSpan span(obs::Hist::ModuleTaintNs);
+    benchmark::ClobberMemory();
+});
+BENCHMARK_CAPTURE(BM_TelemetryPrimitives, counter_add,
+                  [] { obs::counterAdd(obs::Ctr::TaintTransitions); });
+BENCHMARK_CAPTURE(BM_TelemetryPrimitives, scoped_span, [] {
+    obs::ScopedSpan span(obs::Hist::Phase2Ns);
+    benchmark::ClobberMemory();
+});
 
 } // namespace
 

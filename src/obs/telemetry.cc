@@ -140,8 +140,6 @@ nowNs()
             .count());
 }
 
-#ifndef DEJAVUZZ_NO_TELEMETRY
-
 // --- Registry storage ----------------------------------------------------
 
 namespace detail {
@@ -270,21 +268,6 @@ resetForTest()
     std::lock_guard<std::mutex> lock(detail::g_trace_mutex);
     detail::g_trace_events.clear();
 }
-
-#else // DEJAVUZZ_NO_TELEMETRY
-
-TelemetrySnapshot
-snapshot()
-{
-    return {};
-}
-
-void
-resetForTest()
-{
-}
-
-#endif // DEJAVUZZ_NO_TELEMETRY
 
 // --- Chrome trace-event serialization ------------------------------------
 

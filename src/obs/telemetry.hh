@@ -6,9 +6,11 @@
  * The hot-path primitives (counterAdd, gaugeSet, histRecord,
  * ScopedSpan, SampledSpan) are single relaxed atomic operations on
  * fixed enum-indexed arrays -- no locks, no allocation, no string
- * lookup.  Building with -DDEJAVUZZ_NO_TELEMETRY compiles them out
- * entirely (inline no-ops); snapshot() and the sinks stay linkable so
- * the CLIs work unchanged and emit zero-filled but valid records.
+ * lookup.  They are always compiled in.  Only SampledSpan runs once
+ * per simulated cycle; the CI perf-smoke job prices every primitive
+ * per DUT cycle in the Release build (bench_micro's
+ * BM_TelemetryPrimitives times a call, bench_dualsim counts the calls)
+ * and scripts/telemetry_gate.py fails it above 2% of a DUT cycle.
  *
  * Trace export: when enableTrace(true) is set, every ScopedSpan also
  * pushes a TraceEvent into a thread-local buffer.  Worker threads
@@ -159,7 +161,7 @@ struct TelemetrySnapshot
     }
 };
 
-// --- Cold-path API (always compiled) ------------------------------------
+// --- Cold-path API ------------------------------------------------------
 
 /** Consistent-enough copy of the registry (relaxed reads). */
 TelemetrySnapshot snapshot();
@@ -190,36 +192,6 @@ void writeChromeTrace(std::ostream &os,
                       const std::vector<TraceEvent> &events);
 
 // --- Hot-path API --------------------------------------------------------
-
-#ifdef DEJAVUZZ_NO_TELEMETRY
-
-inline void counterAdd(Ctr, uint64_t = 1) {}
-inline void gaugeSet(Gauge, uint64_t) {}
-inline void histRecord(Hist, uint64_t, uint64_t = 1) {}
-inline void enableTrace(bool) {}
-inline bool traceEnabled() { return false; }
-inline void setThreadTrack(uint32_t) {}
-inline void drainThreadSpans() {}
-inline std::vector<TraceEvent> takeTraceEvents() { return {}; }
-
-class ScopedSpan
-{
-  public:
-    explicit ScopedSpan(Hist) {}
-    ScopedSpan(Hist, uint64_t, uint64_t) {}
-    ScopedSpan(const ScopedSpan &) = delete;
-    ScopedSpan &operator=(const ScopedSpan &) = delete;
-};
-
-class SampledSpan
-{
-  public:
-    explicit SampledSpan(Hist) {}
-    SampledSpan(const SampledSpan &) = delete;
-    SampledSpan &operator=(const SampledSpan &) = delete;
-};
-
-#else // !DEJAVUZZ_NO_TELEMETRY
 
 namespace detail {
 
@@ -353,8 +325,6 @@ class SampledSpan
     bool timing_;
     uint64_t begin_ = 0;
 };
-
-#endif // DEJAVUZZ_NO_TELEMETRY
 
 } // namespace dejavuzz::obs
 

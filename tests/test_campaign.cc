@@ -789,9 +789,7 @@ TEST(Scheduler, TelemetryDoesNotPerturbDeterminism)
     expectSameOutcome(a, b);
     EXPECT_NE(heartbeats.str().find("\"type\":\"heartbeat\""),
               std::string::npos);
-#ifndef DEJAVUZZ_NO_TELEMETRY
     EXPECT_FALSE(events.empty());
-#endif
 }
 
 TEST(Scheduler, BatchSizeOneRepeatRunsAreBitIdentical)

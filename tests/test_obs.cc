@@ -2,8 +2,9 @@
  * @file
  * Tests of the telemetry subsystem: log2-histogram bucket boundaries,
  * snapshot merge associativity, quantile estimation, registry
- * round-trips, scoped-span nesting and thread-track integrity of the
- * Chrome trace serialization, heartbeat record formatting, and the
+ * round-trips, the per-cycle sampled span the overhead gate prices,
+ * scoped-span nesting and thread-track integrity of the Chrome trace
+ * serialization, heartbeat record formatting, and the
  * heartbeat emitter's timing/monotonicity guarantees.
  */
 
@@ -15,9 +16,12 @@
 #include <thread>
 #include <vector>
 
+#include "bench/poc_suite.hh"
+#include "harness/dualsim.hh"
 #include "obs/heartbeat.hh"
 #include "obs/telemetry.hh"
 #include "report/json.hh"
+#include "uarch/config.hh"
 
 namespace dejavuzz {
 namespace {
@@ -116,9 +120,7 @@ TEST(ObsHistogram, QuantileLowFindsBucketLowerBounds)
     EXPECT_EQ(h.quantileLow(1.0), 64u);
 }
 
-// --- Registry round-trips (compiled out with the telemetry) -------------
-
-#ifndef DEJAVUZZ_NO_TELEMETRY
+// --- Registry round-trips ----------------------------------------------
 
 TEST(ObsRegistry, CountersGaugesHistogramsRoundTrip)
 {
@@ -152,6 +154,40 @@ TEST(ObsRegistry, SampledSpanKeepsTotalsUnbiased)
     const TelemetrySnapshot snap = obs::snapshot();
     EXPECT_EQ(snap.hist(Hist::ModuleTaintNs).count, 128u);
     obs::resetForTest();
+}
+
+TEST(ObsRegistry, TaintLogRunsOneSampledSpanPerCycle)
+{
+    // The telemetry overhead gate (scripts/telemetry_gate.py) prices
+    // the SampledSpan in DualSim::laneTick as one call per taint-log
+    // tick of lane 0, read from this histogram's weighted count. If
+    // the span moves or goes, the gate's numerator reads zero; this
+    // fails instead. Sampling rounds the count to the period.
+    const auto cfg = uarch::smallBoomConfig();
+    for (const auto &poc : bench::pocSuite()) {
+        for (bool taint_log : {true, false}) {
+            harness::DualSim sim(cfg);
+            harness::SimOptions options;
+            options.mode = ift::IftMode::DiffIFT;
+            options.taint_log = taint_log;
+            const uint64_t before =
+                obs::snapshot().hist(Hist::ModuleTaintNs).count;
+            const auto result =
+                sim.runDual(poc.schedule, poc.data, options);
+            const uint64_t added =
+                obs::snapshot().hist(Hist::ModuleTaintNs).count - before;
+            SCOPED_TRACE(poc.name + (taint_log ? " taint_log" : ""));
+            ASSERT_GT(result.dut0.cycles, 0u);
+            if (taint_log) {
+                EXPECT_LE(added, result.dut0.cycles +
+                                     obs::SampledSpan::kPeriod);
+                EXPECT_GE(added + obs::SampledSpan::kPeriod,
+                          result.dut0.cycles);
+            } else {
+                EXPECT_EQ(added, 0u);
+            }
+        }
+    }
 }
 
 TEST(ObsTrace, SpansNestAndKeepTheirThreadTrack)
@@ -205,8 +241,6 @@ TEST(ObsTrace, DisabledTraceRecordsHistogramsOnly)
     EXPECT_TRUE(obs::takeTraceEvents().empty());
     obs::resetForTest();
 }
-
-#endif // !DEJAVUZZ_NO_TELEMETRY
 
 // --- Chrome trace serialization -----------------------------------------
 

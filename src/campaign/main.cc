@@ -55,7 +55,10 @@ usage(const char *argv0)
     std::fprintf(stderr,
         "usage: %s [options]\n"
         "\n"
-        "  --workers N        worker threads (default 4)\n"
+        "  --workers N        shards: independent fuzzers with their "
+        "own RNG streams and provenance (default 4);\n"
+        "                     executor threads come from the CPU set "
+        "(at least one per shard), not from N\n"
         "  --policy P         replicas | sweep | ablation | heads "
         "(default replicas)\n"
         "                     heads: workers own disjoint uarch "

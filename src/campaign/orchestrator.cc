@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include <sched.h>
+
 #include "campaign/faults.hh"
 #include "obs/heartbeat.hh"
 #include "obs/telemetry.hh"
@@ -34,6 +36,19 @@ uint64_t
 batchSeed(uint64_t master, unsigned shard, uint64_t index)
 {
     return Rng::streamSeed(Rng::streamSeed(master, shard), index);
+}
+
+/** CPUs this process may run on (its sched_getaffinity mask), or 1
+ *  if the mask cannot be read. `taskset -c 0` therefore gives one
+ *  executor per shard. */
+unsigned
+cpusAvailable()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0)
+        return 1;
+    return std::max(1, CPU_COUNT(&set));
 }
 
 /** Ablation variants cycled across workers by AblationMatrix. */
@@ -152,7 +167,11 @@ void
 CampaignOrchestrator::provision()
 {
     shards_.resize(options_.workers);
-    executors_.resize(options_.workers);
+    // One executor per CPU, but never fewer than one per shard. Only
+    // the shards' own executors are built here; the rest stay null
+    // until an epoch has batches for them (runEpoch).
+    executors_.resize(
+        std::max<size_t>(options_.workers, cpusAvailable()));
     std::map<std::pair<std::string, std::string>, unsigned> kinds;
 
     for (unsigned w = 0; w < options_.workers; ++w) {
@@ -220,7 +239,7 @@ CampaignOrchestrator::provision()
         shard.agg.config = shard.config_name;
         shard.agg.variant = shard.variant;
 
-        // Executor thread w reuses this one fuzzer (and its dual-sim
+        // Executor w reuses this one fuzzer (and its dual-sim
         // buffers) for every batch it runs, own or stolen.
         executors_[w] =
             std::make_unique<core::Fuzzer>(config, fopts);
@@ -246,12 +265,14 @@ CampaignOrchestrator::provision()
         shard.kind = kit->second;
     }
 
+    // Executor t serves shard t % shards' kind. Executors past the
+    // shard count own deques nothing is pushed to, so they only steal.
     std::vector<unsigned> kind_ids;
-    kind_ids.reserve(shards_.size());
-    for (const Shard &shard : shards_)
-        kind_ids.push_back(shard.kind);
+    kind_ids.reserve(executors_.size());
+    for (size_t t = 0; t < executors_.size(); ++t)
+        kind_ids.push_back(shards_[t % shards_.size()].kind);
     sched_ = std::make_unique<WorkStealingScheduler>(kind_ids);
-    busy_seconds_.assign(shards_.size(), 0.0);
+    busy_seconds_.assign(executors_.size(), 0.0);
     kind_fail_streak_.assign(kinds.size(), 0);
     kind_disabled_.assign(kinds.size(), false);
 }
@@ -541,9 +562,8 @@ CampaignOrchestrator::planQuotas(uint64_t done) const
 void
 CampaignOrchestrator::executorLoop(unsigned t)
 {
-    // Trace track 0 is the main thread; executors take 1..N. When
-    // there is a single shard, executorLoop(0) runs on the main
-    // thread and its batches land on the "worker 0" track too.
+    // Trace track 0 is the main thread; executor t takes track t+1,
+    // also when executor 0 runs on the main thread.
     obs::setThreadTrack(t + 1);
     core::Fuzzer &fz = *executors_[t];
     double busy = 0.0;
@@ -718,28 +738,50 @@ CampaignOrchestrator::runEpoch(const std::vector<uint64_t> &quotas)
     stolen_before_ = sched_->stolen();
     std::fill(busy_seconds_.begin(), busy_seconds_.end(), 0.0);
 
-    const double begin = nowSeconds();
-    if (shards_.size() == 1) {
-        executorLoop(0);
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(shards_.size());
-        for (unsigned t = 0; t < shards_.size(); ++t)
-            threads.emplace_back(
-                [this, t] { executorLoop(t); });
-        for (auto &thread : threads)
-            thread.join();
+    // One thread per shard, and more while there are CPUs and batches
+    // for them. Which thread runs a batch never changes what it
+    // computes, so the count changes only the wall time.
+    size_t batches = 0;
+    for (const std::vector<SlotResult> &slots : epoch_results_)
+        batches += slots.size();
+    const size_t threads = std::max(
+        shards_.size(), std::min(executors_.size(), batches));
+    // An extra executor is built the first time an epoch needs it and
+    // kept for later epochs. Building it here rather than on its own
+    // thread keeps its allocations in the main thread's malloc arena,
+    // which every campaign's executors reuse.
+    for (size_t t = shards_.size(); t < threads; ++t) {
+        if (!executors_[t]) {
+            const Shard &shard = shards_[t % shards_.size()];
+            executors_[t] =
+                std::make_unique<core::Fuzzer>(shard.config, shard.fopts);
+        }
     }
+
+    const double begin = nowSeconds();
+    std::vector<std::thread> pool;
+    pool.reserve(threads - 1);
+    for (unsigned t = 1; t < threads; ++t)
+        pool.emplace_back([this, t] { executorLoop(t); });
+    executorLoop(0);
+    obs::setThreadTrack(0); // the main thread's barrier work
+    for (std::thread &thread : pool)
+        thread.join();
     const double wall = nowSeconds() - begin;
 
+    // Idle is counted only for the threads this epoch started: an
+    // executor built for an earlier, larger epoch is not idle now.
     epoch_stolen_ = sched_->stolen() - stolen_before_;
     epoch_idle_ns_ = 0;
-    for (double busy : busy_seconds_) {
-        double idle = wall - busy;
+    unsigned ran = 0;
+    for (size_t t = 0; t < threads; ++t) {
+        double idle = wall - busy_seconds_[t];
         if (idle > 0.0)
             epoch_idle_ns_ +=
                 static_cast<uint64_t>(idle * 1e9);
+        ran += busy_seconds_[t] > 0.0 ? 1 : 0;
     }
+    executors_ran_ = std::max(executors_ran_, ran);
 }
 
 void
@@ -1000,6 +1042,7 @@ CampaignOrchestrator::run()
         obs::gaugeSet(obs::Gauge::DistinctBugs, sample.distinct_bugs);
         obs::gaugeSet(obs::Gauge::CorpusSize, sample.corpus_size);
         obs::gaugeSet(obs::Gauge::Epochs, sample.epoch + 1);
+        obs::gaugeSet(obs::Gauge::Executors, executors_ran_);
 
         ++epoch;
 

@@ -5,11 +5,18 @@
  * Work proceeds in epochs. At each epoch boundary the orchestrator
  * plans every shard's iteration quota as a sequence of small
  * *batches* (see scheduler.hh) and freezes one coverage snapshot per
- * core-config group. N executor threads then drain the batch deques:
- * each thread prefers its own shard's deque and, when that runs dry,
- * steals batches from the most-loaded compatible peer — so the epoch
- * barrier is reached when global work is exhausted, not when the
- * slowest shard finishes a fixed quota.
+ * core-config group. Executor threads then drain the batch deques:
+ * executor t prefers its own deque and, when that runs dry, steals
+ * batches from the most-loaded compatible peer — so the epoch barrier
+ * is reached when global work is exhausted, not when the slowest
+ * shard finishes a fixed quota.
+ *
+ * Shards are the unit of campaign identity (worker count, seeds,
+ * provenance, logs); executors are the unit of parallelism. An epoch
+ * runs max(shards, min(CPUs, batches planned)) executor threads,
+ * where CPUs is the process's sched_getaffinity mask: executor t
+ * serves shard t % shards' kind, the ones past the shard count own
+ * empty deques and only steal, and the main thread runs executor 0.
  *
  * Determinism: a batch is a pure function of (master seed, shard,
  * batch index, epoch snapshot, assigned corpus seeds) — the executor
@@ -21,8 +28,9 @@
  * barriers with an epoch-deterministic Rng stream. An
  * iteration-budgeted campaign with a fixed (master seed, worker
  * count, policy, batch size, budget) is therefore bit-reproducible
- * regardless of thread timing: stealing changes only which thread
- * executes a batch and when, never what the batch computes.
+ * regardless of thread timing and of the executor count: stealing
+ * changes only which thread executes a batch and when, never what
+ * the batch computes.
  * Wall-clock-budgeted campaigns stop at a machine-speed-dependent
  * epoch and are not reproducible; the batches_stolen /
  * steal_idle_ns counters are wall-clock artifacts in every run.
@@ -353,9 +361,12 @@ class CampaignOrchestrator
     BugLedger ledger_;
     CampaignStats stats_;
     std::vector<Shard> shards_;
-    /** Executor thread t's fuzzer, built for shard t's kind and
+    /** Executor t's fuzzer, built for shard t % shards' kind and
      *  reused (dual-sim buffers and all) across every batch it
-     *  runs — the batched-simulation amortization. */
+     *  runs — the batched-simulation amortization. One slot per
+     *  available CPU (at least one per shard); the shards' own are
+     *  built by provision(), the rest by runEpoch() for the first
+     *  epoch that runs them. */
     std::vector<std::unique_ptr<core::Fuzzer>> executors_;
     /** One global coverage map per distinct group (config name, or
      *  config+head under the Heads policy). */
@@ -369,7 +380,11 @@ class CampaignOrchestrator
     std::unique_ptr<WorkStealingScheduler> sched_;
     /** Per-(shard, slot) results of the epoch in flight. */
     std::vector<std::vector<SlotResult>> epoch_results_;
+    /** Per-executor batch time of the epoch in flight. */
     std::vector<double> busy_seconds_;
+    /** Most executor threads that ran batches in one epoch (the
+     *  `executors` heartbeat gauge). */
+    unsigned executors_ran_ = 0;
 
     Rng steal_rng_;
     uint64_t steals_ = 0;

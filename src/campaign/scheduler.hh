@@ -3,13 +3,16 @@
  * Work-stealing batch scheduler for the campaign orchestrator.
  *
  * Every epoch's iteration budget is split into small batches held in
- * per-worker deques. An executor thread drains its own deque from the
- * front; when it runs dry it steals a batch from the *back* of the
- * most-loaded compatible peer (Chase–Lev's owner-front/thief-back
- * discipline, mutex-backed — contention is one brief lock per batch,
- * negligible next to a batch's simulation cost). The epoch barrier is
- * therefore reached when global work is exhausted, not when the
- * slowest shard finishes its private quota.
+ * per-executor deques. Executor t < shards is pushed shard t's
+ * batches; the executors past the shard count (one per spare CPU) own
+ * deques that stay empty, so they only steal. An executor thread
+ * drains its own deque from the front; when it runs dry it steals a
+ * batch from the *back* of the most-loaded compatible peer
+ * (Chase–Lev's owner-front/thief-back discipline, mutex-backed —
+ * contention is one brief lock per batch, negligible next to a
+ * batch's simulation cost). The epoch barrier is therefore reached
+ * when global work is exhausted, not when the slowest shard finishes
+ * its private quota.
  *
  * Batches are self-contained deterministic work units (see
  * core::Fuzzer::BatchSpec): stealing changes which thread executes a
@@ -20,7 +23,7 @@
  * Compatibility: a thief may only execute batches whose shard shares
  * its (core config, ablation variant) — the executor reuses its own
  * simulation resources, which are only interchangeable within a
- * kind. Shard kinds are fixed at construction.
+ * kind. Executor kinds are fixed at construction.
  */
 
 #ifndef DEJAVUZZ_CAMPAIGN_SCHEDULER_HH
@@ -51,8 +54,8 @@ class WorkStealingScheduler
 {
   public:
     /**
-     * @p kinds maps each worker to its compatibility class id;
-     * stealing never crosses classes. Size fixes the worker count.
+     * @p kinds maps each executor to its compatibility class id;
+     * stealing never crosses classes. Size fixes the executor count.
      */
     explicit WorkStealingScheduler(const std::vector<unsigned> &kinds);
 

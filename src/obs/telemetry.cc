@@ -50,6 +50,7 @@ gaugeName(Gauge g)
       case Gauge::CorpusSize: return "corpus_size";
       case Gauge::Epochs: return "epochs";
       case Gauge::Workers: return "workers";
+      case Gauge::Executors: return "executors";
       case Gauge::kCount: break;
     }
     return "?";
@@ -283,11 +284,12 @@ writeChromeTrace(std::ostream &os,
     for (const auto &e : events)
         tracks.insert(e.track);
     for (uint32_t track : tracks) {
-        // Executor threads register as track t+1 (track 0 is main),
-        // so track N carries worker N-1's batches.
+        // Executor t registers as track t+1 (track 0 is main), so
+        // track N carries executor N-1's batches, whatever shards
+        // they belong to.
         std::string label =
             track == 0 ? "main"
-                       : "worker " + std::to_string(track - 1);
+                       : "executor " + std::to_string(track - 1);
         std::snprintf(buf, sizeof(buf),
                       "%s{\"name\":\"thread_name\",\"ph\":\"M\","
                       "\"pid\":1,\"tid\":%" PRIu32

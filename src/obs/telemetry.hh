@@ -71,7 +71,8 @@ enum class Gauge : uint8_t {
     DistinctBugs,   ///< deduplicated ledger size
     CorpusSize,     ///< corpus entries (may shrink on minimize)
     Epochs,         ///< epochs completed
-    Workers,        ///< configured worker count
+    Workers,        ///< configured worker (shard) count
+    Executors,      ///< most executor threads that ran batches in an epoch
     kCount,
 };
 

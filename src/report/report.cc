@@ -86,10 +86,27 @@ overviewTable(const std::vector<CampaignLog> &logs)
     return table;
 }
 
+/** Executor threads that ran the campaign's batches: the final
+ *  heartbeat's `executors` gauge, or the worker count for a log
+ *  without heartbeats. */
+uint64_t
+executorCount(const CampaignLog &log)
+{
+    uint64_t executors = log.summary.workers;
+    if (!log.heartbeats.empty()) {
+        const uint64_t gauge =
+            log.heartbeats.back().gauges[static_cast<unsigned>(
+                obs::Gauge::Executors)];
+        if (gauge > 0)
+            executors = gauge;
+    }
+    return executors;
+}
+
 ReportTable
 schedulerTable(const std::vector<CampaignLog> &logs)
 {
-    // Scheduler occupancy: how much of the fleet's time the
+    // Scheduler occupancy: how much of the executors' time the
     // work-stealing scheduler kept busy. Campaigns that ran no batch
     // contribute no rows (an all-empty table is skipped by the
     // renderers).
@@ -97,16 +114,17 @@ schedulerTable(const std::vector<CampaignLog> &logs)
     table.title = "Scheduler occupancy";
     table.header = {"campaign", "batch", "batches",
                     "batches_stolen", "stolen_pct", "steal_idle_s",
-                    "idle_per_worker_s"};
+                    "idle_per_executor_s"};
     for (const auto &log : logs) {
         const SummaryRow &s = log.summary;
         if (s.batches == 0)
             continue;
         const double idle_s =
             static_cast<double>(s.steal_idle_ns) / 1e9;
-        const double per_worker =
-            s.workers > 0
-                ? idle_s / static_cast<double>(s.workers)
+        const uint64_t executors = executorCount(log);
+        const double per_executor =
+            executors > 0
+                ? idle_s / static_cast<double>(executors)
                 : idle_s;
         char pct[32];
         std::snprintf(pct, sizeof(pct), "%.1f%%",
@@ -116,7 +134,7 @@ schedulerTable(const std::vector<CampaignLog> &logs)
         table.rows.push_back(
             {log.name, fmtU64(s.batch), fmtU64(s.batches),
              fmtU64(s.batches_stolen), pct, fmtF64(idle_s),
-             fmtF64(per_worker)});
+             fmtF64(per_executor)});
     }
     return table;
 }
@@ -167,8 +185,8 @@ heartbeatTimingTable(const std::vector<CampaignLog> &logs)
 {
     // Timing breakdown from the final heartbeat of each log: where
     // the campaign's cycles went (phase spans, the moduleTaintStats
-    // share of Phase 2) and how occupied the worker
-    // fleet was. Logs without heartbeat records contribute no rows
+    // share of Phase 2) and how occupied the executor threads
+    // were. Logs without heartbeat records contribute no rows
     // (an all-empty table is skipped by the renderers).
     ReportTable table;
     table.title = "Timing breakdown (heartbeats)";
@@ -194,10 +212,9 @@ heartbeatTimingTable(const std::vector<CampaignLog> &logs)
         const double batch_s = seconds(obs::Hist::BatchNs);
         const double phase2_s = seconds(obs::Hist::Phase2Ns);
         const double taint_s = seconds(obs::Hist::ModuleTaintNs);
-        const uint64_t workers =
-            hb.gauges[static_cast<unsigned>(obs::Gauge::Workers)];
         const double fleet_s =
-            hb.wall_seconds * static_cast<double>(workers);
+            hb.wall_seconds *
+            static_cast<double>(executorCount(log));
         table.rows.push_back(
             {log.name, fmtF64(hb.wall_seconds),
              pct(batch_s, fleet_s),

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <new>
+
+#include <sys/mman.h>
 
 #include "util/logging.hh"
 
@@ -12,8 +15,19 @@ using ift::TV;
 
 Memory::Memory()
 {
-    data_.assign(kMemBytes, 0);
-    taint_.assign(kMemBytes, 0);
+    // Anonymous pages read as zero until written. calloc would not
+    // do: glibc hands back recycled heap memory, which it must clear.
+    void *image = mmap(nullptr, 2 * kMemBytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (image == MAP_FAILED)
+        throw std::bad_alloc();
+    data_ = static_cast<uint8_t *>(image);
+    taint_ = data_ + kMemBytes;
+}
+
+Memory::~Memory()
+{
+    munmap(data_, 2 * kMemBytes);
 }
 
 void

@@ -60,7 +60,13 @@ class Memory
         std::vector<uint8_t> bytes_;
     };
 
+    /** The pristine all-zero image. Its pages are mapped untouched:
+     *  building one writes nothing, and a page costs memory only once
+     *  a run writes it. */
     Memory();
+    ~Memory();
+    Memory(const Memory &) = delete;
+    Memory &operator=(const Memory &) = delete;
 
     /**
      * Restore the pristine all-zero image, reusing the allocation.
@@ -174,8 +180,9 @@ class Memory
             watch_hit_ = true;
     }
 
-    std::vector<uint8_t> data_;
-    std::vector<uint8_t> taint_;
+    /** The two halves of one anonymous mapping of 2 * kMemBytes. */
+    uint8_t *data_;
+    uint8_t *taint_;
     Flags flags_;
     /** One bit per page with any write since the last reset. */
     uint64_t dirty_pages_ = 0;

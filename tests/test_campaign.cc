@@ -12,9 +12,12 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <thread>
+
+#include <sched.h>
 
 #include "campaign/campaign_dir.hh"
 #include "campaign/corpus.hh"
@@ -747,6 +750,84 @@ TEST(Scheduler, StealingRepeatRunsAreBitIdentical)
     EXPECT_EQ(sa.batches, sb.batches);
     EXPECT_LE(sa.batches_stolen, sa.batches);
     EXPECT_LE(sb.batches_stolen, sb.batches);
+}
+
+/** writeJsonl() with the host-timing fields set to 0. */
+std::string
+deterministicLog(const CampaignOrchestrator &orchestrator)
+{
+    std::stringstream os;
+    orchestrator.writeJsonl(os);
+    static const std::regex timing(
+        "\"(active_seconds|wall_seconds|iters_per_sec|steal_idle_ns|"
+        "batches_stolen)\":[^,}]*");
+    return std::regex_replace(os.str(), timing, "\"$1\":0");
+}
+
+/** Restores the calling thread's CPU mask on scope exit. */
+class AffinityGuard
+{
+  public:
+    AffinityGuard()
+    {
+        CPU_ZERO(&saved_);
+        ok_ = sched_getaffinity(0, sizeof(saved_), &saved_) == 0;
+    }
+    ~AffinityGuard()
+    {
+        if (ok_)
+            sched_setaffinity(0, sizeof(saved_), &saved_);
+    }
+    AffinityGuard(const AffinityGuard &) = delete;
+    AffinityGuard &operator=(const AffinityGuard &) = delete;
+
+    bool ok() const { return ok_; }
+    const cpu_set_t &saved() const { return saved_; }
+
+  private:
+    cpu_set_t saved_;
+    bool ok_ = false;
+};
+
+TEST(Scheduler, ExecutorCountNeverChangesCampaign)
+{
+    // The orchestrator sizes its executor pool from the CPU mask.
+    // Pinned to one CPU it runs one thread per shard; with every CPU
+    // it adds executors that steal. The campaign log must not notice.
+    AffinityGuard guard;
+    ASSERT_TRUE(guard.ok());
+    const cpu_set_t all = guard.saved();
+    if (CPU_COUNT(&all) < 2)
+        GTEST_SKIP() << "only one CPU available";
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+        if (CPU_ISSET(cpu, &all)) {
+            CPU_SET(cpu, &one);
+            break;
+        }
+    }
+
+    CampaignOptions replicas = smallCampaign(1, 500);
+    replicas.batch_iterations = 16;
+    CampaignOptions sweep = smallCampaign(2, 1000);
+    sweep.policy = ShardPolicy::ConfigSweep;
+    sweep.batch_iterations = 16;
+
+    for (const CampaignOptions &options : {replicas, sweep}) {
+        ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+        CampaignOrchestrator pinned(options);
+        pinned.run();
+        ASSERT_EQ(sched_setaffinity(0, sizeof(all), &all), 0);
+        CampaignOrchestrator spread(options);
+        spread.run();
+
+        SCOPED_TRACE(options.workers);
+        EXPECT_GT(pinned.ledger().distinct(), 0u);
+        EXPECT_EQ(pinned.stats().batches_stolen, 0u);
+        EXPECT_GT(spread.stats().batches_stolen, 0u);
+        EXPECT_EQ(deterministicLog(pinned), deterministicLog(spread));
+    }
 }
 
 TEST(Campaign, HeadsRepeatRunsAreBitIdentical)

@@ -259,7 +259,7 @@ TEST(ObsTrace, ChromeTraceCarriesTracksAndArgs)
     // Track 0 is the main thread; executor t registers track t+1.
     EXPECT_NE(json.find("\"args\":{\"name\":\"main\"}"),
               std::string::npos);
-    EXPECT_NE(json.find("\"args\":{\"name\":\"worker 0\"}"),
+    EXPECT_NE(json.find("\"args\":{\"name\":\"executor 0\"}"),
               std::string::npos);
     EXPECT_NE(json.find("\"name\":\"batch\",\"ph\":\"X\""),
               std::string::npos);

@@ -481,6 +481,68 @@ TEST(CampaignLogRoundTrip, HeartbeatsRoundTripAndValidate)
               std::string::npos);
 }
 
+const report::ReportTable &
+tableTitled(const std::vector<report::ReportTable> &tables,
+            const std::string &title)
+{
+    for (const report::ReportTable &table : tables)
+        if (table.title == title)
+            return table;
+    ADD_FAILURE() << "no table \"" << title << "\"";
+    static const report::ReportTable none;
+    return none;
+}
+
+std::string
+cell(const report::ReportTable &table, const std::string &column)
+{
+    for (size_t c = 0; c < table.header.size(); ++c)
+        if (table.header[c] == column && !table.rows.empty())
+            return table.rows.front()[c];
+    ADD_FAILURE() << "no column \"" << column << "\" with a row in \""
+                  << table.title << "\"";
+    return {};
+}
+
+TEST(CampaignLogRoundTrip, OccupancyDividesByExecutorsNotShards)
+{
+    // One shard may run on several executor threads; occupancy and
+    // idle per thread divide by the executors gauge, so a busy
+    // 1-shard campaign on 4 executors reads 75%, not 300%.
+    obs::resetForTest();
+    CampaignOptions options = tinyCampaign(1, 500, 7);
+    options.heartbeat_sec = 60.0; // only the final heartbeat record
+    CampaignOrchestrator orchestrator(options);
+    orchestrator.run();
+    std::stringstream jsonl;
+    orchestrator.writeJsonlWithHeartbeats(jsonl);
+    CampaignLog log;
+    std::string error;
+    ASSERT_TRUE(report::parseCampaignLog(jsonl, "solo", log, &error))
+        << error;
+    ASSERT_FALSE(log.heartbeats.empty());
+    const auto gauge = [](obs::Gauge g) {
+        return static_cast<unsigned>(g);
+    };
+    report::HeartbeatRow &hb = log.heartbeats.back();
+    EXPECT_EQ(hb.gauges[gauge(obs::Gauge::Workers)], 1u);
+    EXPECT_GE(hb.gauges[gauge(obs::Gauge::Executors)], 1u);
+
+    hb.wall_seconds = 1.0;
+    hb.gauges[gauge(obs::Gauge::Executors)] = 4;
+    hb.hist_sum[static_cast<unsigned>(obs::Hist::BatchNs)] = 3'000'000'000;
+    log.summary.steal_idle_ns = 2'000'000'000;
+    const std::vector<report::ReportTable> tables =
+        report::buildComparisonTables({log});
+    EXPECT_EQ(cell(tableTitled(tables, "Timing breakdown (heartbeats)"),
+                   "occupancy_pct"),
+              "75.0%");
+    const report::ReportTable &sched =
+        tableTitled(tables, "Scheduler occupancy");
+    EXPECT_EQ(cell(sched, "steal_idle_s"), "2.00");
+    EXPECT_EQ(cell(sched, "idle_per_executor_s"), "0.50");
+}
+
 /** Two-heartbeat log with an all-zero summary, for hand-corruption. */
 std::string
 syntheticHeartbeatLog(uint64_t seq0, double wall0,
